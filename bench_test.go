@@ -231,11 +231,10 @@ func BenchmarkReorder(b *testing.B) {
 	}
 }
 
-// BenchmarkReorderWorkers runs every ordering serial (workers=1) and
-// parallel (workers=4) on a matrix above the parallel engagement thresholds
-// (6400 vertices clears amdMultiMinVerts and the ND/GP/HP fork minimums),
-// so the CI benchmark smoke compiles and exercises each parallel ordering
-// path. The BENCH_reorder.json speedups are measured at study scale by
+// BenchmarkReorderWorkers runs every ordering at workers=1 and workers=4
+// on a matrix above the parallel engagement thresholds (6400 vertices
+// clears the ND/GP/HP fork minimums), so the CI benchmark smoke compiles
+// and exercises each parallel ordering path. The BENCH_reorder.json speedups are measured at study scale by
 // `study -exp benchreorder`, not here.
 func BenchmarkReorderWorkers(b *testing.B) {
 	a := gen.Scramble(gen.Grid2D(80, 80), 3)
@@ -320,7 +319,7 @@ func BenchmarkAblation2DAtomics(b *testing.B) {
 // root selection, reporting the resulting bandwidth.
 func BenchmarkAblationRCMStart(b *testing.B) {
 	a := gen.Scramble(gen.Grid2D(100, 100), 5)
-	g, err := graph.FromMatrix(a)
+	g, err := graph.FromMatrixSymmetrizedWorkers(a, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -334,7 +333,7 @@ func BenchmarkAblationRCMStart(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			var bw int
 			for i := 0; i < b.N; i++ {
-				p := reorder.ReverseCuthillMcKeeWithStart(g, tc.strat)
+				p := reorder.ReverseCuthillMcKeeWorkers(g, tc.strat, 1)
 				bm, err := permuteSym(a, p)
 				if err != nil {
 					b.Fatal(err)
@@ -384,7 +383,7 @@ func benchName(thr int) string {
 }
 
 func permuteSym(a *sparse.CSR, p sparse.Perm) (*sparse.CSR, error) {
-	return sparse.PermuteSymmetric(a, p)
+	return sparse.PermuteSymmetricWorkers(a, p, 1)
 }
 
 func BenchmarkSpMVMerge(b *testing.B) {
@@ -461,7 +460,7 @@ func BenchmarkAblationNDSmall(b *testing.B) {
 // BenchmarkAblationMatching compares heavy-edge and random matching in the
 // partitioner's coarsening, reporting the resulting edge cut.
 func BenchmarkAblationMatching(b *testing.B) {
-	g, err := graph.FromMatrix(gen.Grid2D(100, 100))
+	g, err := graph.FromMatrixSymmetrizedWorkers(gen.Grid2D(100, 100), 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -490,7 +489,7 @@ func BenchmarkAblationMatching(b *testing.B) {
 // bisection against the serial baseline (identical output, see the
 // partition tests).
 func BenchmarkParallelBisection(b *testing.B) {
-	g, err := graph.FromMatrix(gen.Grid2D(150, 150))
+	g, err := graph.FromMatrixSymmetrizedWorkers(gen.Grid2D(150, 150), 1)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		a, err = sparse.ReadMatrixMarket(f)
+		a, err = sparse.ReadMatrixMarketWorkers(f, 0)
 		f.Close()
 		if err != nil {
 			log.Fatal(err)
@@ -57,7 +57,7 @@ func main() {
 	fmt.Printf("matrix: %dx%d, %d nonzeros\n", a.Rows, a.Cols, a.NNZ())
 	fmt.Printf("%-10s %12s %14s %14s %10s\n", "order", "bandwidth", "profile", "offdiag-nnz", "imb-1D")
 	show := func(name string, b *sparse.CSR) {
-		f := metrics.Compute(b, *blocks, *threads)
+		f := metrics.ComputeWorkers(b, *blocks, *threads, 0)
 		fmt.Printf("%-10s %12d %14d %14d %10.3f\n", name, f.Bandwidth, f.Profile, f.OffDiagNNZ, f.Imbalance1D)
 	}
 	for _, alg := range reorder.AllOrderings {
@@ -68,7 +68,7 @@ func main() {
 		show(string(alg), b)
 	}
 	// Extension orderings (not part of the study's six).
-	g, err := graph.FromMatrixSymmetrized(a)
+	g, err := graph.FromMatrixSymmetrizedWorkers(a, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func main() {
 		{"GPS", reorder.GibbsPooleStockmeyer(g)},
 		{"Sloan", reorder.Sloan(g, 0, 0)},
 	} {
-		b, err := sparse.PermuteSymmetric(a, ext.p)
+		b, err := sparse.PermuteSymmetricWorkers(a, ext.p, 0)
 		if err != nil {
 			log.Fatal(err)
 		}

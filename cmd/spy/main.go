@@ -48,7 +48,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		a, err = sparse.ReadMatrixMarket(f)
+		a, err = sparse.ReadMatrixMarketWorkers(f, 0)
 		f.Close()
 		if err != nil {
 			log.Fatal(err)

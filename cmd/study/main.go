@@ -61,14 +61,13 @@
 // every exit path, including interrupt (exit 3) and partial failure
 // (exit 2).
 //
-// -exp benchreorder measures the reordering hot path serial vs parallel —
-// including the five ordering pipelines rcm/amd/nd/gp/hp — and prints the
-// BENCH_reorder.json document (also written to -out DIR when given). The
-// committed numbers are taken at -scale study; -scale test shrinks the
-// bench matrices to CI-smoke sizes. -exp benchingest measures Matrix
-// Market ingestion — the
-// serial reference reader vs the parallel streaming pipeline — and prints
-// BENCH_ingest.json. -exp benchobs measures the observability layer's
+// -exp benchreorder measures the reordering hot path at 1, 2, 4 and
+// GOMAXPROCS workers — including the five ordering pipelines
+// rcm/amd/nd/gp/hp — and prints the BENCH_reorder.json document (also
+// written to -out DIR when given). The committed numbers are taken at
+// -scale study; -scale test shrinks the bench matrices to CI-smoke sizes.
+// -exp benchingest measures Matrix Market ingestion at the same worker
+// counts and prints BENCH_ingest.json. -exp benchobs measures the observability layer's
 // disabled-path overhead and prints BENCH_obs.json.
 //
 // Results are printed to stdout; with -out, artifact-format data files

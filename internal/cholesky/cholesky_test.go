@@ -22,7 +22,7 @@ func arrowMatrix(n int) *sparse.CSR {
 			coo.Append(n-1, i, 1)
 		}
 	}
-	a, err := coo.ToCSR()
+	a, err := coo.ToCSRWorkers(1)
 	if err != nil {
 		panic(err)
 	}
@@ -42,7 +42,7 @@ func randomSymmetric(rng *rand.Rand, n, edges int) *sparse.CSR {
 		coo.Append(i, j, -1)
 		coo.Append(j, i, -1)
 	}
-	a, err := coo.ToCSR()
+	a, err := coo.ToCSRWorkers(1)
 	if err != nil {
 		panic(err)
 	}
@@ -60,7 +60,7 @@ func TestEliminationTreePath(t *testing.T) {
 			coo.Append(i+1, i, -1)
 		}
 	}
-	a, _ := coo.ToCSR()
+	a, _ := coo.ToCSRWorkers(1)
 	parent, err := EliminationTree(a)
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +149,7 @@ func TestColCountsArrowReversedFullFill(t *testing.T) {
 	for i := range rev {
 		rev[i] = n - 1 - i
 	}
-	b, err := sparse.PermuteSymmetric(a, rev)
+	b, err := sparse.PermuteSymmetricWorkers(a, rev, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestFactorNNZConsistent(t *testing.T) {
 func TestRejectsRectangular(t *testing.T) {
 	coo := sparse.NewCOO(2, 3, 1)
 	coo.Append(0, 0, 1)
-	a, _ := coo.ToCSR()
+	a, _ := coo.ToCSRWorkers(1)
 	if _, err := EliminationTree(a); err == nil {
 		t.Error("EliminationTree accepted rectangular matrix")
 	}

@@ -74,7 +74,7 @@ func TestFactorizeKnown2x2(t *testing.T) {
 	coo.Append(0, 1, 2)
 	coo.Append(1, 0, 2)
 	coo.Append(1, 1, 3)
-	a, _ := coo.ToCSR()
+	a, _ := coo.ToCSRWorkers(1)
 	f, err := Factorize(a)
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +168,7 @@ func TestSolveUnderReordering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pa, err := sparse.PermuteSymmetric(a, perm)
+	pa, err := sparse.PermuteSymmetricWorkers(a, perm, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestFactorizeRejectsIndefinite(t *testing.T) {
 	coo.Append(0, 1, 5)
 	coo.Append(1, 0, 5)
 	coo.Append(1, 1, 1)
-	a, _ := coo.ToCSR()
+	a, _ := coo.ToCSRWorkers(1)
 	if _, err := Factorize(a); err == nil {
 		t.Error("accepted an indefinite matrix")
 	}
@@ -206,7 +206,7 @@ func TestFactorizeRejectsIndefinite(t *testing.T) {
 func TestFactorizeRejectsRectangular(t *testing.T) {
 	coo := sparse.NewCOO(2, 3, 1)
 	coo.Append(0, 0, 1)
-	a, _ := coo.ToCSR()
+	a, _ := coo.ToCSRWorkers(1)
 	if _, err := Factorize(a); err == nil {
 		t.Error("accepted rectangular matrix")
 	}

@@ -47,18 +47,14 @@ func LoadMatrixFiles(ctx context.Context, cfg Config, paths []string) ([]gen.Mat
 	return ms, nil
 }
 
-// IngestBench is the serial-vs-parallel wall-clock comparison of Matrix
-// Market ingestion, the document committed as BENCH_ingest.json. The
-// serial baseline is sparse.ReadMatrixMarket, the line-at-a-time
-// reference reader; the parallel runs are sparse.ReadMatrixMarketWorkers,
-// whose chunked scanner must produce byte-identical output (the bench
-// verifies this on every run, so the numbers double as a determinism
-// check).
+// IngestBench is the wall-clock scaling of Matrix Market ingestion
+// (sparse.ReadMatrixMarketWorkers) over worker counts, the document
+// committed as BENCH_ingest.json. The one-worker run is the baseline, and
+// every other run must reproduce its matrix byte for byte (the bench
+// verifies this, so the numbers double as a determinism check).
 type IngestBench struct {
 	// HostCPUs and GoMaxProcs record the hardware the numbers were taken
-	// on; speedups at worker counts beyond HostCPUs can only come from the
-	// leaner chunk scanner (in-place field parsing, fast-path float
-	// conversion, allocation-free lines), not from concurrency.
+	// on; worker counts beyond HostCPUs cannot speed anything up.
 	HostCPUs   int                 `json:"host_cpus"`
 	GoMaxProcs int                 `json:"gomaxprocs"`
 	Repeats    int                 `json:"repeats"` // best-of wall clock, like the paper
@@ -78,11 +74,11 @@ type IngestBenchMatrix struct {
 	Runs           []IngestBenchRun `json:"runs"`
 }
 
-// IngestBenchRun is one (path, worker count) wall-clock measurement.
-// Speedup is the serial reference reader's time divided by this run's
-// time; MBPerSec is the file size over the run time.
+// IngestBenchRun is one worker-count wall-clock measurement. Speedup is
+// the one-worker time divided by this run's time; MBPerSec is the file
+// size over the run time.
 type IngestBenchRun struct {
-	Path     string  `json:"path"` // serial, parallel
+	Path     string  `json:"path"` // always "ingest"
 	Workers  int     `json:"workers"`
 	Seconds  float64 `json:"seconds"`
 	MBPerSec float64 `json:"mb_per_sec"`
@@ -96,12 +92,15 @@ func IngestBenchMatrices(seed int64) []gen.Matrix {
 	return ReorderBenchMatrices(seed, gen.ScaleStudy)
 }
 
-// RunIngestBench measures Matrix Market ingestion serial vs parallel.
-// workerCounts are the parallel worker counts to measure; each run is
-// repeated repeats times and the best time kept. Every parallel result is
-// checked for equality with the serial result before its time is
-// recorded.
+// RunIngestBench measures Matrix Market ingestion at each worker count.
+// workerCounts must start with 1, the baseline every speedup is quoted
+// against; each run is repeated repeats times and the best time kept.
+// Every result is checked for equality with the one-worker result before
+// its time is recorded.
 func RunIngestBench(matrices []gen.Matrix, workerCounts []int, repeats int) (*IngestBench, error) {
+	if len(workerCounts) == 0 || workerCounts[0] != 1 {
+		return nil, fmt.Errorf("experiments: worker counts must start with the baseline 1, got %v", workerCounts)
+	}
 	if repeats < 1 {
 		repeats = 1
 	}
@@ -124,41 +123,31 @@ func RunIngestBench(matrices []gen.Matrix, workerCounts []int, repeats int) (*In
 		mb := float64(len(data)) / (1 << 20)
 
 		var ref *sparse.CSR
-		serial := 0.0
-		for it := 0; it < repeats; it++ {
-			start := time.Now()
-			a, err := sparse.ReadMatrixMarket(bytes.NewReader(data))
-			if err != nil {
-				return nil, fmt.Errorf("experiments: %s: serial read: %w", m.Name, err)
-			}
-			if el := time.Since(start).Seconds(); serial == 0 || el < serial {
-				serial = el
-			}
-			ref = a
-		}
-		bm.Runs = append(bm.Runs, IngestBenchRun{
-			Path: "serial", Workers: 1, Seconds: serial, MBPerSec: mb / serial, Speedup: 1,
-		})
-
+		base := 0.0
 		for _, w := range workerCounts {
 			best := 0.0
 			for it := 0; it < repeats; it++ {
 				start := time.Now()
 				a, err := sparse.ReadMatrixMarketWorkers(bytes.NewReader(data), w)
 				if err != nil {
-					return nil, fmt.Errorf("experiments: %s: parallel read (workers=%d): %w", m.Name, w, err)
+					return nil, fmt.Errorf("experiments: %s: read (workers=%d): %w", m.Name, w, err)
 				}
 				el := time.Since(start).Seconds()
-				if !a.Equal(ref) {
-					return nil, fmt.Errorf("experiments: %s: parallel ingest at %d workers diverged from the serial reader", m.Name, w)
+				if ref == nil {
+					ref = a
+				} else if !a.Equal(ref) {
+					return nil, fmt.Errorf("experiments: %s: ingest at %d workers diverged from the one-worker result", m.Name, w)
 				}
 				if best == 0 || el < best {
 					best = el
 				}
 			}
+			if base == 0 {
+				base = best
+			}
 			bm.Runs = append(bm.Runs, IngestBenchRun{
-				Path: "parallel", Workers: w, Seconds: best,
-				MBPerSec: mb / best, Speedup: serial / best,
+				Path: "ingest", Workers: w, Seconds: best,
+				MBPerSec: mb / best, Speedup: base / best,
 			})
 		}
 		out.Matrices = append(out.Matrices, bm)

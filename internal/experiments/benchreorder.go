@@ -13,8 +13,8 @@ import (
 	"sparseorder/internal/sparse"
 )
 
-// ReorderBench is the serial-vs-parallel wall-clock comparison of the
-// reordering hot path, the document committed as BENCH_reorder.json. It
+// ReorderBench is the wall-clock scaling of the reordering hot path over
+// worker counts, the document committed as BENCH_reorder.json. It
 // backs the Table 5 reordering-time breakdown: the per-path speedups show
 // how much of a reordering's cost the Workers option recovers.
 type ReorderBench struct {
@@ -36,8 +36,8 @@ type ReorderBenchMatrix struct {
 }
 
 // ReorderBenchRun is one (path, worker count) wall-clock measurement.
-// Speedup is the serial (workers=1) time of the same path divided by this
-// run's time.
+// Speedup is the one-worker time of the same path divided by this run's
+// time; every path runs one implementation, inline at one worker.
 type ReorderBenchRun struct {
 	Path    string  `json:"path"` // graph, permute, features, rcm, combined
 	Workers int     `json:"workers"`
@@ -53,7 +53,7 @@ var reorderBenchPaths = []string{"graph", "permute", "features", "rcm", "combine
 
 // reorderBenchOrderings maps the ordering bench paths to their algorithms.
 // These pipelines cost tens of seconds each at study scale, so they are
-// measured best-of-1 and only at the serial baseline and the four-worker
+// measured best-of-1 and only at the one-worker baseline and the four-worker
 // count the acceptance numbers are quoted at; the run-to-run variance of a
 // tens-of-seconds measurement is small next to the effects measured.
 var reorderBenchOrderings = map[string]reorder.Algorithm{
@@ -70,9 +70,9 @@ const reorderBenchSeed = 42
 // ReorderBenchMatrices returns the generated inputs for RunReorderBench:
 // a scrambled 3D grid (structurally symmetric) and a dense-row-contaminated
 // unsymmetric matrix that exercises the A+Aᵀ union path. At ScaleTest the
-// matrices shrink to CI-smoke sizes — still above every parallel engagement
-// threshold (amdMultiMinVerts and the fork minimums) so the smoke exercises
-// the parallel paths, but seconds instead of minutes to measure. Any other
+// matrices shrink to CI-smoke sizes — still above the fork minimums of
+// ND, GP and HP so the smoke exercises the parallel paths, but seconds
+// instead of minutes to measure. Any other
 // scale returns the ≥1M-nonzero pair the committed acceptance numbers are
 // quoted at.
 func ReorderBenchMatrices(seed int64, scale gen.Scale) []gen.Matrix {
@@ -92,15 +92,15 @@ func ReorderBenchMatrices(seed int64, scale gen.Scale) []gen.Matrix {
 	}
 }
 
-// RunReorderBench measures the reordering hot path serial vs parallel.
-// workerCounts must start with 1 (the serial baseline); each path is run
+// RunReorderBench measures the reordering hot path at each worker count.
+// workerCounts must start with 1 (the baseline); each path is run
 // repeats times per worker count and the best time is kept. The RCM
 // permutation is computed once per matrix and reused as the permutation
 // under test, so "permute" measures a realistic (locality-changing)
 // application.
 func RunReorderBench(matrices []gen.Matrix, workerCounts []int, repeats int) (*ReorderBench, error) {
 	if len(workerCounts) == 0 || workerCounts[0] != 1 {
-		return nil, fmt.Errorf("experiments: worker counts must start with the serial baseline 1, got %v", workerCounts)
+		return nil, fmt.Errorf("experiments: worker counts must start with the baseline 1, got %v", workerCounts)
 	}
 	if repeats < 1 {
 		repeats = 1
@@ -112,11 +112,11 @@ func RunReorderBench(matrices []gen.Matrix, workerCounts []int, repeats int) (*R
 	}
 	for _, m := range matrices {
 		a := m.A
-		g, err := graph.FromMatrixSymmetrized(a)
+		g, err := graph.FromMatrixSymmetrizedWorkers(a, 1)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %v", m.Name, err)
 		}
-		p := reorder.ReverseCuthillMcKee(g)
+		p := reorder.ReverseCuthillMcKeeWorkers(g, reorder.PseudoPeripheralStart, 1)
 		bm := ReorderBenchMatrix{Name: m.Name, Rows: a.Rows, NNZ: a.NNZ()}
 		serial := map[string]float64{}
 		for _, w := range workerCounts {
@@ -197,7 +197,7 @@ func RunReorderBench(matrices []gen.Matrix, workerCounts []int, repeats int) (*R
 // timeBest runs fn reps times and returns the best wall-clock seconds. A
 // forced GC before each timed run keeps the previous measurement's garbage
 // off this one's bill — the same hygiene testing.B applies between
-// benchmarks, and material here because a 60-second quotient-graph AMD run
+// benchmarks, and material here because a multi-second ordering run
 // can otherwise tax the ordering measured after it.
 func timeBest(reps int, fn func() error) (float64, error) {
 	best := 0.0

@@ -38,10 +38,10 @@ type Config struct {
 	Workers int
 	// ReorderWorkers is the worker count handed to the parallel reordering
 	// paths (reorder.Options.Workers) and the parallel feature computation
-	// for each matrix. The default 0 means 1 (the serial path): matrices
-	// already run concurrently under Workers, so per-matrix parallelism is
-	// opt-in to avoid oversubscription. Any value produces byte-identical
-	// permutations, matrices and features.
+	// for each matrix. The default 0 means 1 (inline on the matrix's own
+	// goroutine): matrices already run concurrently under Workers, so
+	// per-matrix parallelism is opt-in to avoid oversubscription. Any
+	// value produces byte-identical permutations, matrices and features.
 	ReorderWorkers int
 	// IngestWorkers is the worker count for parallel Matrix Market
 	// ingestion (sparse.ReadMatrixMarketWorkers) when the study runs on a

@@ -39,7 +39,7 @@ func Grid2D(nx, ny int) *sparse.CSR {
 			}
 		}
 	}
-	a, err := coo.ToCSR()
+	a, err := coo.ToCSRWorkers(1)
 	if err != nil {
 		panic("gen: Grid2D: " + err.Error())
 	}
@@ -78,7 +78,7 @@ func Grid3D(nx, ny, nz int) *sparse.CSR {
 			}
 		}
 	}
-	a, err := coo.ToCSR()
+	a, err := coo.ToCSRWorkers(1)
 	if err != nil {
 		panic("gen: Grid3D: " + err.Error())
 	}
@@ -142,7 +142,7 @@ func RMAT(scale, edgeFactor int, seed int64) *sparse.CSR {
 	for i := 0; i < n; i++ {
 		coo.Append(i, i, 1)
 	}
-	a, err := coo.ToCSR()
+	a, err := coo.ToCSRWorkers(1)
 	if err != nil {
 		panic("gen: RMAT: " + err.Error())
 	}
@@ -356,7 +356,7 @@ func WithShortcuts(a *sparse.CSR, count int, seed int64) *sparse.CSR {
 		coo.Append(i, j, v)
 		coo.Append(j, i, v)
 	}
-	out, err := coo.ToCSR()
+	out, err := coo.ToCSRWorkers(1)
 	if err != nil {
 		panic("gen: WithShortcuts: " + err.Error())
 	}
@@ -436,7 +436,7 @@ func WithDenseRows(a *sparse.CSR, count int, density float64, seed int64) *spars
 			coo.Append(i, rng.Intn(a.Cols), rng.Float64())
 		}
 	}
-	out, err := coo.ToCSR()
+	out, err := coo.ToCSRWorkers(1)
 	if err != nil {
 		panic("gen: WithDenseRows: " + err.Error())
 	}
@@ -449,7 +449,7 @@ func WithDenseRows(a *sparse.CSR, count int, density float64, seed int64) *spars
 func Scramble(a *sparse.CSR, seed int64) *sparse.CSR {
 	rng := rand.New(rand.NewSource(seed))
 	p := sparse.Perm(rng.Perm(a.Rows))
-	b, err := sparse.PermuteSymmetric(a, p)
+	b, err := sparse.PermuteSymmetricWorkers(a, p, 1)
 	if err != nil {
 		panic("gen: Scramble: " + err.Error())
 	}
@@ -461,7 +461,7 @@ func Scramble(a *sparse.CSR, seed int64) *sparse.CSR {
 func ScrambleRows(a *sparse.CSR, seed int64) *sparse.CSR {
 	rng := rand.New(rand.NewSource(seed))
 	p := sparse.Perm(rng.Perm(a.Rows))
-	b, err := sparse.PermuteRows(a, p)
+	b, err := sparse.PermuteRowsWorkers(a, p, 1)
 	if err != nil {
 		panic("gen: ScrambleRows: " + err.Error())
 	}
@@ -494,7 +494,7 @@ func TallSkinnyDense(rows, cols int, seed int64) *sparse.CSR {
 // sets each diagonal entry to (sum of absolute off-diagonal row entries)+1,
 // making the matrix symmetric positive definite by diagonal dominance.
 func spdFinish(coo *sparse.COO, n int) *sparse.CSR {
-	a, err := coo.ToCSR()
+	a, err := coo.ToCSRWorkers(1)
 	if err != nil {
 		panic("gen: " + err.Error())
 	}
@@ -519,7 +519,7 @@ func spdFinish(coo *sparse.COO, n int) *sparse.CSR {
 			full.Append(i, i, rowAbs[i]+1)
 		}
 	}
-	out, err := full.ToCSR()
+	out, err := full.ToCSRWorkers(1)
 	if err != nil {
 		panic("gen: " + err.Error())
 	}

@@ -8,7 +8,6 @@ import (
 	"fmt"
 
 	"sparseorder/internal/par"
-	"sparseorder/internal/sparse"
 )
 
 // Graph is an undirected graph in adjacency-list (CSR) form. Edges appear
@@ -29,11 +28,11 @@ func (g *Graph) NumEdges() int { return len(g.Adj) / 2 }
 func (g *Graph) Degree(v int) int { return g.Ptr[v+1] - g.Ptr[v] }
 
 // MaxDegree returns the largest vertex degree. Graphs built by
-// FromMatrix, FromMatrixSymmetrized (and their Workers variants) and
-// InducedSubgraph carry the value precomputed; for hand-assembled Graph
-// values the scan result is returned without being cached. Either way
-// MaxDegree never mutates the graph, so concurrent callers sharing one
-// graph — as the component-parallel Cuthill-McKee does — are safe.
+// FromMatrixSymmetrizedWorkers and InducedSubgraph carry the value
+// precomputed; for hand-assembled Graph values the scan result is
+// returned without being cached. Either way MaxDegree never mutates the
+// graph, so concurrent callers sharing one graph — as the
+// component-parallel Cuthill-McKee does — are safe.
 func (g *Graph) MaxDegree() int {
 	if g.degMax > 0 {
 		return g.degMax
@@ -110,56 +109,6 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-// FromMatrix builds the undirected graph of a square, structurally
-// symmetric sparse matrix: one vertex per row/column and an edge {i, j}
-// for every off-diagonal nonzero. The input must be structurally
-// symmetric; callers pass sparse.Symmetrize(a) for unsymmetric patterns.
-func FromMatrix(a *sparse.CSR) (*Graph, error) {
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("graph: matrix must be square, got %dx%d", a.Rows, a.Cols)
-	}
-	g := &Graph{N: a.Rows, Ptr: make([]int, a.Rows+1)}
-	for i := 0; i < a.Rows; i++ {
-		n := 0
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			if int(a.ColIdx[k]) != i {
-				n++
-			}
-		}
-		g.Ptr[i+1] = g.Ptr[i] + n
-		if n > g.degMax {
-			g.degMax = n
-		}
-	}
-	g.Adj = make([]int32, g.Ptr[a.Rows])
-	pos := 0
-	for i := 0; i < a.Rows; i++ {
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			if j := a.ColIdx[k]; int(j) != i {
-				g.Adj[pos] = j
-				pos++
-			}
-		}
-	}
-	return g, nil
-}
-
-// FromMatrixSymmetrized builds the undirected graph of A + Aᵀ when the
-// pattern of a is unsymmetric, and of A directly otherwise.
-func FromMatrixSymmetrized(a *sparse.CSR) (*Graph, error) {
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("graph: matrix must be square, got %dx%d", a.Rows, a.Cols)
-	}
-	if !a.IsStructurallySymmetric() {
-		s, err := sparse.Symmetrize(a)
-		if err != nil {
-			return nil, err
-		}
-		a = s
-	}
-	return FromMatrix(a)
-}
-
 // BFSResult is a breadth-first level structure rooted at Root.
 type BFSResult struct {
 	Root   int
@@ -171,9 +120,30 @@ type BFSResult struct {
 // Depth returns the eccentricity of the root within its component.
 func (r *BFSResult) Depth() int { return len(r.Levels) - 1 }
 
+// Clear resets Level to -1 at every vertex in Order, which restores a
+// level scratch for the next traversal in O(|Order|) instead of O(g.N).
+func (r *BFSResult) Clear() {
+	for _, v := range r.Order {
+		r.Level[v] = -1
+	}
+}
+
+// NewLevelScratch returns a level array for traversals of a graph with n
+// vertices, with every entry -1.
+func NewLevelScratch(n int) []int32 {
+	level := make([]int32, n)
+	for i := range level {
+		level[i] = -1
+	}
+	return level
+}
+
 // BFS computes a breadth-first level structure from root, restricted to
-// root's connected component. The scratch slice, if non-nil, must have
-// length g.N and is used as the level array to avoid allocation.
+// root's connected component. A non-nil scratch (length g.N) is used as
+// the level array and must hold -1 at every vertex of root's component:
+// a fresh NewLevelScratch, or one whose previous traversal was undone
+// with Clear. A traversal then costs O(size of the component), however
+// many components share the scratch. A nil scratch allocates one.
 func BFS(g *Graph, root int, scratch []int32) *BFSResult {
 	return BFSCancel(g, root, scratch, nil)
 }
@@ -186,19 +156,19 @@ const bfsCheckEvery = 4096
 
 // BFSCancel is BFS with a cooperative cancellation hook: every
 // bfsCheckEvery expanded frontier vertices it polls done and, when the
-// channel is closed, returns the partial level structure built so far.
-// Callers observing cancellation must discard the result. A nil done
-// never cancels, making BFSCancel(g, root, scratch, nil) exactly BFS.
+// channel is closed, returns the partial level structure built so far;
+// Clear still undoes exactly the levels it set. Callers observing
+// cancellation must discard the result. A nil done never cancels, making
+// BFSCancel(g, root, scratch, nil) exactly BFS.
 func BFSCancel(g *Graph, root int, scratch []int32, done <-chan struct{}) *BFSResult {
 	level := scratch
 	if level == nil {
-		level = make([]int32, g.N)
+		level = NewLevelScratch(g.N)
 	}
-	for i := range level {
-		level[i] = -1
-	}
-	order := make([]int32, 0, g.N)
-	order = append(order, int32(root))
+	// The visit order grows with the component instead of being sized to
+	// the whole graph, so traversing a small component allocates little.
+	order := make([]int32, 1, 8)
+	order[0] = int32(root)
 	level[root] = 0
 	var levels [][]int32
 	head := 0
@@ -266,17 +236,28 @@ func Components(g *Graph) ([][]int32, []int32) {
 // containing start, using the George-Liu algorithm: repeatedly root a BFS
 // at a minimum-degree vertex of the deepest last level until the
 // eccentricity stops growing. It returns the vertex and its final level
-// structure.
+// structure. scratch follows the BFS contract; every round runs in it, so
+// on return it holds the levels of the last round, rooted at the
+// minimum-degree vertex of the returned structure's deepest level, and
+// Clear on the returned structure restores it (all rounds visit the same
+// component).
 func PseudoPeripheral(g *Graph, start int, scratch []int32) (int, *BFSResult) {
-	return PseudoPeripheralCancel(g, start, scratch, nil)
+	if scratch == nil {
+		scratch = NewLevelScratch(g.N)
+	}
+	return PseudoPeripheralFrom(g, BFS(g, start, scratch), scratch, nil)
 }
 
-// PseudoPeripheralCancel is PseudoPeripheral with cooperative
-// cancellation: done is polled between (and, via BFSCancel, inside) the
-// BFS rounds. On cancellation the current candidate is returned; callers
-// observing cancellation must discard it.
-func PseudoPeripheralCancel(g *Graph, start int, scratch []int32, done <-chan struct{}) (int, *BFSResult) {
-	r := BFSCancel(g, start, scratch, done)
+// PseudoPeripheralFrom continues the George-Liu search from a completed
+// first round r, so a caller that already traversed the component (to
+// discover it) does not pay for that round twice. Later rounds run in
+// scratch, which must hold -1 at the component's vertices unless it is
+// r.Level; r.Level is cleared before the second round. On return scratch
+// holds the last round's levels at exactly the component's vertices.
+// done is polled between (and, via BFSCancel, inside) the rounds; on
+// cancellation the current candidate is returned, and callers observing
+// cancellation must discard it.
+func PseudoPeripheralFrom(g *Graph, r *BFSResult, scratch []int32, done <-chan struct{}) (int, *BFSResult) {
 	for {
 		if par.Canceled(done) {
 			return r.Root, r
@@ -288,6 +269,7 @@ func PseudoPeripheralCancel(g *Graph, start int, scratch []int32, done <-chan st
 				next = int(v)
 			}
 		}
+		r.Clear()
 		rNext := BFSCancel(g, next, scratch, done)
 		if rNext.Depth() <= r.Depth() {
 			return r.Root, r

@@ -7,86 +7,38 @@ import (
 	"sparseorder/internal/sparse"
 )
 
-// FromMatrixWorkers is FromMatrix with the counting and adjacency-fill
-// passes split across row ranges. Workers follow the package convention
-// (0 = GOMAXPROCS, 1 = the exact serial code path); the adjacency is
-// byte-identical at every worker count because each vertex's slot range
-// is fixed by the serial prefix sum before any list is written.
-func FromMatrixWorkers(a *sparse.CSR, workers int) (*Graph, error) {
-	w := par.Resolve(workers)
-	if w == 1 {
-		return FromMatrix(a)
-	}
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("graph: matrix must be square, got %dx%d", a.Rows, a.Cols)
-	}
-	g := &Graph{N: a.Rows, Ptr: make([]int, a.Rows+1)}
-	chunkMax := make([]int, par.Chunks(a.Rows, w))
-	par.Ranges(a.Rows, w, func(chunk, lo, hi int) {
-		m := 0
-		for i := lo; i < hi; i++ {
-			n := 0
-			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-				if int(a.ColIdx[k]) != i {
-					n++
-				}
-			}
-			g.Ptr[i+1] = n
-			if n > m {
-				m = n
-			}
-		}
-		chunkMax[chunk] = m
-	})
-	for i := 0; i < a.Rows; i++ {
-		g.Ptr[i+1] += g.Ptr[i]
-	}
-	for _, m := range chunkMax {
-		if m > g.degMax {
-			g.degMax = m
-		}
-	}
-	g.Adj = make([]int32, g.Ptr[a.Rows])
-	par.Ranges(a.Rows, w, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			pos := g.Ptr[i]
-			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-				if j := a.ColIdx[k]; int(j) != i {
-					g.Adj[pos] = j
-					pos++
-				}
-			}
-		}
-	})
-	return g, nil
-}
-
-// FromMatrixSymmetrizedWorkers is FromMatrixSymmetrized with a parallel
-// counting pass. Instead of materialising A+Aᵀ (the serial path's
-// value-carrying transpose + pattern check + Add), it builds a
-// pattern-only transpose once and forms each vertex's adjacency as the
-// sorted union of row i of A and row i of Aᵀ minus the diagonal, row
-// ranges in parallel; identical rows (every row of a structurally
-// symmetric pattern) skip the merge and are copied directly. For a
-// structurally symmetric pattern the union equals row i of A, and for an
-// unsymmetric one it equals row i of A+Aᵀ, so the graph is
-// byte-identical to the serial path in both cases.
+// FromMatrixSymmetrizedWorkers builds the undirected graph of A + Aᵀ — of
+// A itself when its pattern is structurally symmetric: one vertex per
+// row/column and an edge {i, j} for every off-diagonal nonzero. Workers
+// follow the package convention (0 = GOMAXPROCS, 1 runs the same code
+// inline); each vertex's slot range is fixed by a prefix sum before any
+// list is written, so the adjacency is byte-identical at every worker
+// count.
+//
+// Instead of materialising A+Aᵀ (a value-carrying transpose, a pattern
+// check and an Add), it builds a pattern-only transpose once and forms
+// each vertex's adjacency as the sorted union of row i of A and row i of
+// Aᵀ minus the diagonal, over row ranges; identical rows (every row of a
+// structurally symmetric pattern) skip the merge and are copied directly.
+// For a structurally symmetric pattern the union equals row i of A, and
+// for an unsymmetric one it equals row i of A+Aᵀ.
 func FromMatrixSymmetrizedWorkers(a *sparse.CSR, workers int) (*Graph, error) {
 	w := par.Resolve(workers)
-	if w == 1 {
-		return FromMatrixSymmetrized(a)
-	}
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("graph: matrix must be square, got %dx%d", a.Rows, a.Cols)
 	}
 	t := patternTranspose(a)
 	g := &Graph{N: a.Rows, Ptr: make([]int, a.Rows+1)}
+	// same[i] records that row i of A equals row i of Aᵀ, so the fill pass
+	// copies that row instead of comparing it a second time.
+	same := make([]bool, a.Rows)
 	chunkMax := make([]int, par.Chunks(a.Rows, w))
 	par.Ranges(a.Rows, w, func(chunk, lo, hi int) {
 		m := 0
 		for i := lo; i < hi; i++ {
-			n := mergeRow(a, t, i, nil)
+			n, eq := unionLen(a, t, i)
 			g.Ptr[i+1] = n
+			same[i] = eq
 			if n > m {
 				m = n
 			}
@@ -104,7 +56,12 @@ func FromMatrixSymmetrizedWorkers(a *sparse.CSR, workers int) (*Graph, error) {
 	g.Adj = make([]int32, g.Ptr[a.Rows])
 	par.Ranges(a.Rows, w, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			mergeRow(a, t, i, g.Adj[g.Ptr[i]:g.Ptr[i+1]])
+			dst := g.Adj[g.Ptr[i]:g.Ptr[i+1]]
+			if same[i] {
+				copyOffDiagonal(dst, a.ColIdx[a.RowPtr[i]:a.RowPtr[i+1]], int32(i))
+			} else {
+				mergeRow(a, t, i, dst)
+			}
 		}
 	})
 	return g, nil
@@ -138,39 +95,55 @@ func patternTranspose(a *sparse.CSR) *sparse.CSR {
 	return t
 }
 
+// unionLen returns the size of the sorted union of row i of a and row i
+// of t with the diagonal entry removed, and whether the two rows are
+// identical — every row when the pattern is structurally symmetric, where
+// one compare-and-count pass replaces the two-pointer merge.
+func unionLen(a, t *sparse.CSR, i int) (int, bool) {
+	ra := a.ColIdx[a.RowPtr[i]:a.RowPtr[i+1]]
+	rb := t.ColIdx[t.RowPtr[i]:t.RowPtr[i+1]]
+	if len(ra) == len(rb) {
+		rb = rb[:len(ra)]
+		di := int32(i)
+		n := len(ra)
+		equal := true
+		for k, c := range ra {
+			if c != rb[k] {
+				equal = false
+				break
+			}
+			if c == di {
+				n--
+			}
+		}
+		if equal {
+			return n, true
+		}
+	}
+	return mergeRow(a, t, i, nil), false
+}
+
+// copyOffDiagonal copies the columns of row i into dst, skipping the
+// diagonal entry i.
+func copyOffDiagonal(dst, row []int32, i int32) {
+	n := 0
+	for _, c := range row {
+		if c != i {
+			dst[n] = c
+			n++
+		}
+	}
+}
+
 // mergeRow computes the sorted union of row i of a and row i of t with the
 // diagonal entry removed. With dst nil it only counts; otherwise it writes
 // the union into dst and returns the count. Both inputs have strictly
-// ascending columns per the CSR invariant. Equal rows — every row when
-// the pattern is structurally symmetric — take a compare-and-copy fast
-// path instead of the two-pointer merge.
+// ascending columns per the CSR invariant.
 func mergeRow(a, t *sparse.CSR, i int, dst []int32) int {
 	ka, kaEnd := a.RowPtr[i], a.RowPtr[i+1]
 	kb, kbEnd := t.RowPtr[i], t.RowPtr[i+1]
 	n := 0
 	di := int32(i)
-	if kaEnd-ka == kbEnd-kb {
-		ra, rb := a.ColIdx[ka:kaEnd], t.ColIdx[kb:kbEnd]
-		equal := true
-		for k := range ra {
-			if ra[k] != rb[k] {
-				equal = false
-				break
-			}
-		}
-		if equal {
-			for _, c := range ra {
-				if c == di {
-					continue
-				}
-				if dst != nil {
-					dst[n] = c
-				}
-				n++
-			}
-			return n
-		}
-	}
 	for ka < kaEnd || kb < kbEnd {
 		var c int32
 		switch {

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -33,22 +34,25 @@ func graphsEqual(t *testing.T, got, want *Graph, label string) {
 	}
 }
 
+// TestFromMatrixWorkersMatchesSerial checks the one graph build on
+// structurally symmetric patterns against fromMatrixSerial, the plain
+// single-loop build that takes the pattern as it is, at every worker count.
 func TestFromMatrixWorkersMatchesSerial(t *testing.T) {
 	for _, a := range []*sparse.CSR{
 		gen.Grid2D(15, 15),
 		gen.Scramble(gen.Grid3D(7, 7, 7), 3),
 		gen.Grid2D(1, 1),
 	} {
-		want, err := FromMatrix(a)
+		want, err := fromMatrixSerial(a)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, w := range []int{1, 2, 3, 4, runtime.GOMAXPROCS(0), 0} {
-			got, err := FromMatrixWorkers(a, w)
+		for _, w := range []int{1, 2, 3, 4, 7, runtime.GOMAXPROCS(0), 0} {
+			got, err := FromMatrixSymmetrizedWorkers(a, w)
 			if err != nil {
 				t.Fatalf("workers=%d: %v", w, err)
 			}
-			graphsEqual(t, got, want, "FromMatrixWorkers")
+			graphsEqual(t, got, want, "FromMatrixSymmetrizedWorkers")
 		}
 	}
 }
@@ -59,7 +63,7 @@ func TestFromMatrixSymmetrizedWorkersMatchesSerial(t *testing.T) {
 	for k := 0; k < 400; k++ {
 		unsym.Append(rng.Intn(90), rng.Intn(90), 1)
 	}
-	u, err := unsym.ToCSR()
+	u, err := unsym.ToCSRWorkers(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,11 +72,11 @@ func TestFromMatrixSymmetrizedWorkersMatchesSerial(t *testing.T) {
 		gen.Grid2D(12, 12), // already symmetric
 		gen.WithDenseRows(gen.Grid2D(10, 10), 3, 0.4, 5), // dense unsymmetric rows
 	} {
-		want, err := FromMatrixSymmetrized(a)
+		want, err := fromMatrixSymmetrizedSerial(a)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, w := range []int{1, 2, 3, 4, runtime.GOMAXPROCS(0), 0} {
+		for _, w := range []int{1, 2, 3, 4, 7, runtime.GOMAXPROCS(0), 0} {
 			got, err := FromMatrixSymmetrizedWorkers(a, w)
 			if err != nil {
 				t.Fatalf("workers=%d: %v", w, err)
@@ -85,7 +89,7 @@ func TestFromMatrixSymmetrizedWorkersMatchesSerial(t *testing.T) {
 func TestFromMatrixSymmetrizedWorkersRejectsRectangular(t *testing.T) {
 	coo := sparse.NewCOO(2, 3, 1)
 	coo.Append(0, 2, 1)
-	a, _ := coo.ToCSR()
+	a, _ := coo.ToCSRWorkers(1)
 	if _, err := FromMatrixSymmetrizedWorkers(a, 4); err == nil {
 		t.Error("accepted rectangular matrix")
 	}
@@ -97,7 +101,7 @@ func TestFromMatrixSymmetrizedWorkersRejectsRectangular(t *testing.T) {
 // guards the regression where the lazy path cached its result without
 // synchronisation.
 func TestMaxDegreeConcurrent(t *testing.T) {
-	built, err := FromMatrix(gen.Grid2D(20, 20))
+	built, err := FromMatrixSymmetrizedWorkers(gen.Grid2D(20, 20), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,19 +128,31 @@ func TestMaxDegreeConcurrent(t *testing.T) {
 	}
 }
 
+// BenchmarkReorderGraphBuild compares the graph builds with the serial
+// oracles they replaced, on a symmetric and an unsymmetric pattern: at
+// workers=1 the one path must not be slower than the oracle.
 func BenchmarkReorderGraphBuild(b *testing.B) {
-	a := gen.Scramble(gen.Grid3D(24, 24, 24), 2)
-	for _, w := range []int{1, 4} {
-		name := "serial"
-		if w > 1 {
-			name = "workers4"
-		}
-		b.Run(name, func(b *testing.B) {
+	sym := gen.Scramble(gen.Grid3D(24, 24, 24), 2)
+	unsym := gen.WithDenseRows(gen.Scramble(gen.Grid3D(24, 24, 24), 2), 20, 0.05, 3)
+	for _, m := range []struct {
+		name string
+		a    *sparse.CSR
+	}{{"sym", sym}, {"unsym", unsym}} {
+		b.Run(m.name+"/oracle", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := FromMatrixSymmetrizedWorkers(a, w); err != nil {
+				if _, err := fromMatrixSymmetrizedSerial(m.a); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
+		for _, w := range []int{1, 4} {
+			b.Run(fmt.Sprintf("%s/workers=%d", m.name, w), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := FromMatrixSymmetrizedWorkers(m.a, w); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

@@ -19,7 +19,7 @@ func pathMatrix(n int) *sparse.CSR {
 			coo.Append(i, i+1, -1)
 		}
 	}
-	a, err := coo.ToCSR()
+	a, err := coo.ToCSRWorkers(1)
 	if err != nil {
 		panic(err)
 	}
@@ -28,7 +28,7 @@ func pathMatrix(n int) *sparse.CSR {
 
 func pathGraph(t *testing.T, n int) *Graph {
 	t.Helper()
-	g, err := FromMatrix(pathMatrix(n))
+	g, err := FromMatrixSymmetrizedWorkers(pathMatrix(n), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,8 +53,8 @@ func TestFromMatrixDropsDiagonal(t *testing.T) {
 	coo.Append(0, 0, 5)
 	coo.Append(0, 1, 1)
 	coo.Append(1, 0, 1)
-	a, _ := coo.ToCSR()
-	g, err := FromMatrix(a)
+	a, _ := coo.ToCSRWorkers(1)
+	g, err := FromMatrixSymmetrizedWorkers(a, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,8 +66,8 @@ func TestFromMatrixDropsDiagonal(t *testing.T) {
 func TestFromMatrixRejectsRectangular(t *testing.T) {
 	coo := sparse.NewCOO(2, 3, 1)
 	coo.Append(0, 2, 1)
-	a, _ := coo.ToCSR()
-	if _, err := FromMatrix(a); err == nil {
+	a, _ := coo.ToCSRWorkers(1)
+	if _, err := FromMatrixSymmetrizedWorkers(a, 1); err == nil {
 		t.Error("accepted rectangular matrix")
 	}
 }
@@ -76,8 +76,8 @@ func TestFromMatrixSymmetrized(t *testing.T) {
 	coo := sparse.NewCOO(3, 3, 2)
 	coo.Append(0, 2, 1) // only upper entry; symmetrization must add mirror
 	coo.Append(1, 1, 1)
-	a, _ := coo.ToCSR()
-	g, err := FromMatrixSymmetrized(a)
+	a, _ := coo.ToCSRWorkers(1)
+	g, err := FromMatrixSymmetrizedWorkers(a, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,8 +116,8 @@ func TestBFSRestrictedToComponent(t *testing.T) {
 	coo.Append(1, 0, 1)
 	coo.Append(2, 3, 1)
 	coo.Append(3, 2, 1)
-	a, _ := coo.ToCSR()
-	g, _ := FromMatrix(a)
+	a, _ := coo.ToCSRWorkers(1)
+	g, _ := FromMatrixSymmetrizedWorkers(a, 1)
 	r := BFS(g, 0, nil)
 	if len(r.Order) != 2 {
 		t.Errorf("BFS escaped the component: %v", r.Order)
@@ -133,8 +133,8 @@ func TestComponents(t *testing.T) {
 	coo.Append(1, 0, 1)
 	coo.Append(2, 3, 1)
 	coo.Append(3, 2, 1)
-	a, _ := coo.ToCSR()
-	g, _ := FromMatrix(a)
+	a, _ := coo.ToCSRWorkers(1)
+	g, _ := FromMatrixSymmetrizedWorkers(a, 1)
 	comps, id := Components(g)
 	if len(comps) != 3 {
 		t.Fatalf("components = %d, want 3", len(comps))
@@ -214,8 +214,8 @@ func TestMaxDegree(t *testing.T) {
 		coo.Append(i, j, 1)
 		coo.Append(j, i, 1)
 	}
-	a, _ := coo.ToCSR()
-	g, _ := FromMatrix(a)
+	a, _ := coo.ToCSRWorkers(1)
+	g, _ := FromMatrixSymmetrizedWorkers(a, 1)
 	want := 0
 	for v := 0; v < g.N; v++ {
 		if d := g.Degree(v); d > want {

@@ -15,10 +15,10 @@ type Options struct {
 	InitTrials   int     // default 4
 	RefinePasses int     // default 6
 	// Workers bounds the goroutines of the parallel recursive bisection
-	// in KWay and KWayConnectivity (0 = GOMAXPROCS, 1 = the exact serial
-	// recursion). Every branch derives its own deterministic RNG seed and
-	// writes a disjoint slice of the part assignment, so results are
-	// byte-identical at any worker count.
+	// in KWay and KWayConnectivity (0 = GOMAXPROCS, 1 runs the same
+	// recursion inline). Every branch derives its own deterministic RNG
+	// seed and writes a disjoint slice of the part assignment, so results
+	// are byte-identical at any worker count.
 	Workers int
 	// Cancel, when non-nil, is polled at every bisection branch, coarsening
 	// level, initial trial and refinement pass; once closed the partitioner

@@ -23,7 +23,7 @@ func smallMatrix(t *testing.T) *sparse.CSR {
 	coo.Append(1, 1, 1)
 	coo.Append(2, 1, 1)
 	coo.Append(3, 2, 1)
-	a, err := coo.ToCSR()
+	a, err := coo.ToCSRWorkers(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func blockMatrix(t *testing.T, blocks, bs int) *sparse.CSR {
 			}
 		}
 	}
-	a, err := coo.ToCSR()
+	a, err := coo.ToCSRWorkers(1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,7 +72,7 @@ func TestEstimate2DAlwaysBalanced(t *testing.T) {
 	for i := 1; i < 1000; i++ {
 		coo.Append(i, (i*7)%1000, 1)
 	}
-	a, _ := coo.ToCSR()
+	a, _ := coo.ToCSRWorkers(1)
 	m, _ := ByName("Rome")
 	e1 := EstimateSpMV(a, m, Kernel1D)
 	e2 := EstimateSpMV(a, m, Kernel2D)

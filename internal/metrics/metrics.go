@@ -117,29 +117,16 @@ type Features struct {
 	Imbalance1D float64
 }
 
-// Compute evaluates all features; blocks and threads are typically both the
-// core count of the machine under study.
-func Compute(a *sparse.CSR, blocks, threads int) Features {
-	return Features{
-		Bandwidth:   Bandwidth(a),
-		Profile:     Profile(a),
-		OffDiagNNZ:  OffDiagonalNNZ(a, blocks),
-		Imbalance1D: Imbalance1D(a, threads),
-	}
-}
-
-// ComputeWorkers is Compute with the row loops run concurrently: the
-// bandwidth/profile/off-diagonal passes are fused into one loop split
-// across row ranges with per-chunk partial results, and the imbalance
-// factor is computed alongside. Workers follow the shared convention
-// (0 = GOMAXPROCS, 1 = the exact serial code path). All reductions are
-// integer max/sum in chunk order, so the result is identical to Compute
-// at every worker count.
+// ComputeWorkers evaluates all features; blocks and threads are typically
+// both the core count of the machine under study. The bandwidth, profile
+// and off-diagonal passes are fused into one loop split across row ranges
+// with per-chunk partial results, and the imbalance factor is computed
+// alongside. Workers follow the shared convention (0 = GOMAXPROCS, 1 runs
+// the same code inline). All reductions are integer max/sum in chunk
+// order, so the result is identical at every worker count and equals
+// Bandwidth, Profile, OffDiagonalNNZ and Imbalance1D evaluated one by one.
 func ComputeWorkers(a *sparse.CSR, blocks, threads, workers int) Features {
 	w := par.Resolve(workers)
-	if w == 1 {
-		return Compute(a, blocks, threads)
-	}
 	var f Features
 	type partial struct {
 		bw      int

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -26,7 +27,7 @@ func TestProfileUnsortedRows(t *testing.T) {
 		t.Errorf("Profile on unsorted rows = %d, want 2", got)
 	}
 	sorted := unsorted.Clone()
-	sorted.SortRows()
+	sorted.SortRowsWorkers(1)
 	if Profile(unsorted) != Profile(sorted) {
 		t.Errorf("Profile depends on within-row order: unsorted %d, sorted %d",
 			Profile(unsorted), Profile(sorted))
@@ -44,7 +45,7 @@ func TestProfileUnsortedRows(t *testing.T) {
 		a.RowPtr[i+1] = len(a.ColIdx)
 	}
 	s := a.Clone()
-	s.SortRows()
+	s.SortRowsWorkers(1)
 	if Profile(a) != Profile(s) {
 		t.Errorf("random matrix: Profile unsorted %d != sorted %d", Profile(a), Profile(s))
 	}
@@ -56,11 +57,11 @@ func TestComputeWorkersMatchesCompute(t *testing.T) {
 	for k := 0; k < 350; k++ {
 		unsym.Append(rng.Intn(70), rng.Intn(70), rng.NormFloat64())
 	}
-	u, err := unsym.ToCSR()
+	u, err := unsym.ToCSRWorkers(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	empty, err := sparse.NewCOO(10, 10, 0).ToCSR()
+	empty, err := sparse.NewCOO(10, 10, 0).ToCSRWorkers(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,8 +73,8 @@ func TestComputeWorkersMatchesCompute(t *testing.T) {
 		empty,
 	} {
 		for _, blocks := range []int{1, 8, 128} {
-			want := Compute(a, blocks, blocks)
-			for _, w := range []int{1, 2, 3, 4, runtime.GOMAXPROCS(0), 0} {
+			want := computeSerial(a, blocks, blocks)
+			for _, w := range []int{1, 2, 3, 4, 7, runtime.GOMAXPROCS(0), 0} {
 				got := ComputeWorkers(a, blocks, blocks, w)
 				if got != want {
 					t.Fatalf("blocks=%d workers=%d: features %+v, want %+v", blocks, w, got, want)
@@ -83,14 +84,18 @@ func TestComputeWorkersMatchesCompute(t *testing.T) {
 	}
 }
 
+// BenchmarkReorderFeatures compares the fused feature pass with the
+// one-definition-at-a-time oracle it replaced: at workers=1 the one path
+// must not be slower than the oracle.
 func BenchmarkReorderFeatures(b *testing.B) {
 	a := gen.Scramble(gen.Grid3D(20, 20, 20), 3)
-	for _, w := range []int{1, 4} {
-		name := "serial"
-		if w > 1 {
-			name = "workers4"
+	b.Run("oracle", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			computeSerial(a, 128, 128)
 		}
-		b.Run(name, func(b *testing.B) {
+	})
+	for _, w := range []int{1, 4} {
+		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ComputeWorkers(a, 128, 128, w)
 			}

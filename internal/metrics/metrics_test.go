@@ -14,7 +14,7 @@ func build(t *testing.T, rows, cols int, entries [][3]float64) *sparse.CSR {
 	for _, e := range entries {
 		coo.Append(int(e[0]), int(e[1]), e[2])
 	}
-	a, err := coo.ToCSR()
+	a, err := coo.ToCSRWorkers(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestBandwidthTridiagonal(t *testing.T) {
 			coo.Append(i+1, i, -1)
 		}
 	}
-	a, _ := coo.ToCSR()
+	a, _ := coo.ToCSRWorkers(1)
 	if bw := Bandwidth(a); bw != 1 {
 		t.Errorf("tridiagonal bandwidth = %d, want 1", bw)
 	}
@@ -135,7 +135,7 @@ func TestImbalance1DSkewedMatrix(t *testing.T) {
 	for j := 0; j < 8; j++ {
 		coo.Append(0, j, 1)
 	}
-	a, _ := coo.ToCSR()
+	a, _ := coo.ToCSRWorkers(1)
 	if f := Imbalance1D(a, 4); math.Abs(f-4) > 1e-12 {
 		t.Errorf("imbalance = %v, want 4", f)
 	}
@@ -146,7 +146,7 @@ func TestImbalance1DSkewedMatrix(t *testing.T) {
 
 func TestComputeBundlesFeatures(t *testing.T) {
 	a := gen.Grid2D(8, 8)
-	f := Compute(a, 4, 4)
+	f := ComputeWorkers(a, 4, 4, 1)
 	if f.Bandwidth != Bandwidth(a) || f.Profile != Profile(a) ||
 		f.OffDiagNNZ != OffDiagonalNNZ(a, 4) || f.Imbalance1D != Imbalance1D(a, 4) {
 		t.Error("Compute disagrees with individual feature functions")

@@ -12,6 +12,7 @@ package par
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Canceled reports whether the done channel is closed. A nil channel is
@@ -77,6 +78,38 @@ func Ranges(n, workers int, fn func(chunk, lo, hi int)) {
 		go func(k int) {
 			defer wg.Done()
 			fn(k, k*n/c, (k+1)*n/c)
+		}(k)
+	}
+	wg.Wait()
+}
+
+// Each calls fn(worker, i) once for every i in [0, n), on at most
+// Chunks(n, workers) goroutines that take the next index as they free up —
+// dynamic scheduling, for jobs of uneven cost. worker identifies the
+// calling goroutine in [0, Chunks(n, workers)), so fn may keep per-worker
+// scratch indexed by it. With one worker every call runs inline on the
+// calling goroutine in index order. Determinism is the caller's part: fn
+// must write only state owned by index i or by its worker slot.
+func Each(n, workers int, fn func(worker, i int)) {
+	if n <= 0 {
+		return
+	}
+	c := Chunks(n, workers)
+	if c == 1 {
+		for i := 0; i < n; i++ {
+			fn(0, i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for k := 0; k < c; k++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				fn(k, i)
+			}
 		}(k)
 	}
 	wg.Wait()

@@ -64,3 +64,40 @@ func TestDoRunsAll(t *testing.T) {
 		}
 	}
 }
+
+func TestEachCoversExactlyOnce(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 7, 100} {
+		for _, w := range []int{1, 2, 4, 7, 0} {
+			seen := make([]int32, n)
+			Each(n, w, func(worker, i int) {
+				if worker < 0 || worker >= Chunks(n, Resolve(w)) {
+					t.Errorf("n=%d w=%d: worker %d out of range", n, w, worker)
+				}
+				atomic.AddInt32(&seen[i], 1)
+			})
+			for i, c := range seen {
+				if c != 1 {
+					t.Fatalf("n=%d w=%d: index %d visited %d times", n, w, i, c)
+				}
+			}
+		}
+	}
+}
+
+func TestEachOneWorkerRunsInlineInOrder(t *testing.T) {
+	var got []int
+	Each(5, 1, func(worker, i int) {
+		if worker != 0 {
+			t.Errorf("worker = %d, want 0", worker)
+		}
+		got = append(got, i) // no synchronisation: must run on this goroutine
+	})
+	for i, v := range got {
+		if v != i {
+			t.Fatalf("order %v, want ascending", got)
+		}
+	}
+	if len(got) != 5 {
+		t.Fatalf("ran %d jobs, want 5", len(got))
+	}
+}

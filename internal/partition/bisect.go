@@ -1,7 +1,6 @@
 package partition
 
 import (
-	"math"
 	"math/rand"
 
 	"sparseorder/internal/graph"
@@ -135,19 +134,14 @@ func cutOf(g *graph.Graph, side []uint8) int {
 	return cut / 2
 }
 
-// fmEntry is a heap element for Fiduccia-Mattheyses refinement; stale
-// entries (whose recorded gain no longer matches the current gain) are
-// discarded lazily on pop.
+// fmEntry is a heap element for Fiduccia-Mattheyses refinement and the
+// separator's greedy cover; stale entries (whose recorded gain no longer
+// matches the current gain) are discarded lazily on pop. Gains are full
+// ints, so no graph's total edge weight can overflow them.
 type fmEntry struct {
 	v    int32
 	gain int
 }
-
-type fmHeap []fmEntry
-
-func (h fmHeap) Len() int           { return len(h) }
-func (h fmHeap) Less(i, j int) bool { return h[i].gain > h[j].gain }
-func (h fmHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
 
 // fmRefine performs boundary Fiduccia-Mattheyses passes on the bisection:
 // each pass tentatively moves every vertex at most once in best-gain-first
@@ -170,71 +164,33 @@ func fmRefine(g *graph.Graph, side []uint8, frac float64, opts Options) {
 
 	gain := make([]int, g.N)
 	locked := make([]bool, g.N)
-	// The parallel engine (Workers resolving above 1) swaps in the lean FM
-	// pass: identical move sequence and output (see fmPassFast), but with
-	// O(1) incremental gain maintenance instead of per-neighbour rescans
-	// and a packed heap, keeping the per-branch hot loops short while
-	// branches run concurrently. Workers<=1 keeps the straightforward
-	// reference pass, the same reference/lean split the graph-build and
-	// permute paths use. The packed heap holds gains in int32; gains are
-	// bounded by the total edge weight, so graphs beyond that bound (none
-	// the generators produce) stay on the reference pass.
-	fast := par.Resolve(opts.Workers) > 1 && totalEdgeWeight(g) <= math.MaxInt32
-	var st fmFastState
+	var st fmState
 	for pass := 0; pass < opts.RefinePasses; pass++ {
 		if par.Canceled(opts.Cancel) {
 			return
 		}
-		var improved bool
-		if fast {
-			improved = fmPassFast(g, side, gain, locked, &w, max0, max1, &st)
-		} else {
-			improved = fmPass(g, side, gain, locked, &w, max0, max1)
-		}
-		if !improved {
+		if !fmPassFast(g, side, gain, locked, &w, max0, max1, &st) {
 			break
 		}
 	}
 }
 
-// totalEdgeWeight sums the graph's edge weights (1 per edge slot when
-// unweighted); it bounds every FM gain's magnitude.
-func totalEdgeWeight(g *graph.Graph) int64 {
-	if g.EWgt == nil {
-		return int64(len(g.Adj))
-	}
-	var t int64
-	for _, w := range g.EWgt {
-		t += int64(w)
-	}
-	return t
-}
-
-// fmEntry32 is the packed heap entry of the lean FM pass: half the bytes
-// of fmEntry, halving the heap's memory traffic. Gains fit int32 because
-// fmRefine only selects the packed pass below that bound.
-type fmEntry32 struct {
-	v    int32
-	gain int32
-}
-
-// fmFastState carries fmPassFast's buffers across passes so their backing
+// fmState carries fmPassFast's buffers across passes so their backing
 // arrays stay out of the allocator.
-type fmFastState struct {
-	heap  []fmEntry32
-	moves []fmEntry32
+type fmState struct {
+	heap  []fmEntry
+	moves []fmEntry
 }
 
-// fmPassFast is fmPass with the bookkeeping of the classic FM
+// fmPassFast is one FM pass with the bookkeeping of the classic
 // implementation: when v moves off side s, a neighbour u's gain changes by
-// exactly +2·w(u,v) if u sits on s and -2·w(u,v) otherwise, so the
-// maintained gains equal the recomputed ones and the heap receives the
-// same entries in the same order. The packed hole-sifting heap performs
-// the same strict comparisons on the same values as the reference heap
-// and therefore reproduces its array layout and pop order exactly: the
-// move sequence, and with it the bisection, is byte-identical to the
-// reference pass at every worker count.
-func fmPassFast(g *graph.Graph, side []uint8, gain []int, locked []bool, w *[2]int, max0, max1 int, st *fmFastState) bool {
+// exactly +2·w(u,v) if u sits on s and -2·w(u,v) otherwise, so gains are
+// maintained in O(1) per neighbour instead of being recomputed from u's
+// whole adjacency. The hole-sifting heap breaks ties by array position
+// alone, so the move sequence, and with it the bisection, is a pure
+// function of the input at every worker count. It reports whether the pass
+// improved the cut.
+func fmPassFast(g *graph.Graph, side []uint8, gain []int, locked []bool, w *[2]int, max0, max1 int, st *fmState) bool {
 	ew := g.EWgt
 	edgeWeight := func(k int) int {
 		if ew == nil {
@@ -257,28 +213,22 @@ func fmPassFast(g *graph.Graph, side []uint8, gain []int, locked []bool, w *[2]i
 			}
 		}
 		gain[v] = ext - inn
+		// Only boundary (or positive-gain) vertices are worth queueing.
 		if gain[v] > 0 || boundary {
-			h = append(h, fmEntry32{int32(v), int32(gain[v])})
+			h = append(h, fmEntry{int32(v), gain[v]})
 		}
 	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		heapDown32(h, i, h[i])
-	}
+	heapify(h)
 
 	moves := st.moves[:0]
 	cumGain, bestGain, bestIdx := 0, 0, -1
 	maxW := [2]int{max0, max1}
 
 	for len(h) > 0 {
-		// Pop: hole-sift the former last element down from the root.
-		e := h[0]
-		last := h[len(h)-1]
-		h = h[:len(h)-1]
-		if len(h) > 0 {
-			heapDown32(h, 0, last)
-		}
+		var e fmEntry
+		e, h = heapPop(h)
 		v := int(e.v)
-		if locked[v] || int(e.gain) != gain[v] {
+		if locked[v] || e.gain != gain[v] {
 			continue // stale entry
 		}
 		from := side[v]
@@ -286,11 +236,12 @@ func fmPassFast(g *graph.Graph, side []uint8, gain []int, locked []bool, w *[2]i
 		if w[to]+g.VertexWeight(v) > maxW[to] {
 			continue // move would violate balance
 		}
+		// Commit the tentative move.
 		locked[v] = true
 		w[from] -= g.VertexWeight(v)
 		side[v] = to
 		w[to] += g.VertexWeight(v)
-		cumGain += int(e.gain)
+		cumGain += e.gain
 		moves = append(moves, e)
 		if cumGain > bestGain {
 			bestGain = cumGain
@@ -307,10 +258,11 @@ func fmPassFast(g *graph.Graph, side []uint8, gain []int, locked []bool, w *[2]i
 			} else {
 				gain[u] -= 2 * edgeWeight(k)
 			}
-			h = heapPush32(h, fmEntry32{u, int32(gain[u])})
+			h = heapPush(h, fmEntry{u, gain[u]})
 		}
 	}
 
+	// Roll back moves past the best prefix.
 	for i := len(moves) - 1; i > bestIdx; i-- {
 		v := moves[i].v
 		w[side[v]] -= g.VertexWeight(int(v))
@@ -321,10 +273,31 @@ func fmPassFast(g *graph.Graph, side []uint8, gain []int, locked []bool, w *[2]i
 	return bestGain > 0
 }
 
-// heapDown32 sifts x down from slot i, moving strictly greater children up
-// into the hole instead of swapping — the same comparisons as heapDown, so
-// the same final layout, with one write per level instead of three.
-func heapDown32(h []fmEntry32, i int, x fmEntry32) {
+// The max-heap on gain below sifts a hole instead of swapping: one write
+// per level instead of three. A child replaces its parent only when its
+// gain is strictly greater, so equal gains keep their array order.
+
+// heapify establishes the heap property over h in O(len(h)).
+func heapify(h []fmEntry) {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		heapDown(h, i, h[i])
+	}
+}
+
+// heapPop removes and returns the maximum-gain entry.
+func heapPop(h []fmEntry) (fmEntry, []fmEntry) {
+	e := h[0]
+	last := h[len(h)-1]
+	h = h[:len(h)-1]
+	if len(h) > 0 {
+		heapDown(h, 0, last)
+	}
+	return e, h
+}
+
+// heapDown sifts x down from slot i, moving strictly greater children up
+// into the hole.
+func heapDown(h []fmEntry, i int, x fmEntry) {
 	n := len(h)
 	for {
 		j1 := 2*i + 1
@@ -344,9 +317,8 @@ func heapDown32(h []fmEntry32, i int, x fmEntry32) {
 	h[i] = x
 }
 
-// heapPush32 appends e and hole-sifts it up; same comparisons and final
-// layout as heapPush.
-func heapPush32(h []fmEntry32, e fmEntry32) []fmEntry32 {
+// heapPush appends e and sifts it up past strictly smaller parents.
+func heapPush(h []fmEntry, e fmEntry) []fmEntry {
 	h = append(h, e)
 	j := len(h) - 1
 	for j > 0 {
@@ -359,141 +331,4 @@ func heapPush32(h []fmEntry32, e fmEntry32) []fmEntry32 {
 	}
 	h[j] = e
 	return h
-}
-
-func fmPass(g *graph.Graph, side []uint8, gain []int, locked []bool, w *[2]int, max0, max1 int) bool {
-	// Gain of moving v to the other side: external - internal edge weight.
-	computeGain := func(v int) int {
-		ext, inn := 0, 0
-		for k := g.Ptr[v]; k < g.Ptr[v+1]; k++ {
-			if side[g.Adj[k]] != side[v] {
-				ext += g.EdgeWeight(k)
-			} else {
-				inn += g.EdgeWeight(k)
-			}
-		}
-		return ext - inn
-	}
-
-	h := &fmHeap{}
-	for v := 0; v < g.N; v++ {
-		locked[v] = false
-		gain[v] = computeGain(v)
-		// Only boundary (or positive-gain) vertices are worth queueing.
-		if gain[v] > 0 || isBoundary(g, side, v) {
-			*h = append(*h, fmEntry{int32(v), gain[v]})
-		}
-	}
-	heapInit(h)
-
-	type move struct {
-		v    int32
-		gain int
-	}
-	var moves []move
-	cumGain, bestGain, bestIdx := 0, 0, -1
-	maxW := [2]int{max0, max1}
-
-	for h.Len() > 0 {
-		e := heapPop(h)
-		v := int(e.v)
-		if locked[v] || e.gain != gain[v] {
-			continue // stale entry
-		}
-		to := 1 - side[v]
-		if w[to]+g.VertexWeight(v) > maxW[to] {
-			continue // move would violate balance
-		}
-		// Commit the tentative move.
-		locked[v] = true
-		w[side[v]] -= g.VertexWeight(v)
-		side[v] = to
-		w[to] += g.VertexWeight(v)
-		cumGain += e.gain
-		moves = append(moves, move{int32(v), e.gain})
-		if cumGain > bestGain {
-			bestGain = cumGain
-			bestIdx = len(moves) - 1
-		}
-		for k := g.Ptr[v]; k < g.Ptr[v+1]; k++ {
-			u := g.Adj[k]
-			if locked[u] {
-				continue
-			}
-			gain[u] = computeGain(int(u))
-			heapPush(h, fmEntry{u, gain[u]})
-		}
-	}
-
-	// Roll back moves past the best prefix.
-	for i := len(moves) - 1; i > bestIdx; i-- {
-		v := moves[i].v
-		w[side[v]] -= g.VertexWeight(int(v))
-		side[v] = 1 - side[v]
-		w[side[v]] += g.VertexWeight(int(v))
-	}
-	return bestGain > 0
-}
-
-func isBoundary(g *graph.Graph, side []uint8, v int) bool {
-	for k := g.Ptr[v]; k < g.Ptr[v+1]; k++ {
-		if side[g.Adj[k]] != side[v] {
-			return true
-		}
-	}
-	return false
-}
-
-// Minimal container/heap re-implementation specialised to fmHeap to avoid
-// interface boxing in the hot path.
-func heapInit(h *fmHeap) {
-	n := h.Len()
-	for i := n/2 - 1; i >= 0; i-- {
-		heapDown(h, i, n)
-	}
-}
-
-func heapPush(h *fmHeap, e fmEntry) {
-	*h = append(*h, e)
-	heapUp(h, h.Len()-1)
-}
-
-func heapPop(h *fmHeap) fmEntry {
-	n := h.Len() - 1
-	h.Swap(0, n)
-	heapDown(h, 0, n)
-	old := *h
-	e := old[n]
-	*h = old[:n]
-	return e
-}
-
-func heapUp(h *fmHeap, j int) {
-	for {
-		i := (j - 1) / 2
-		if i == j || !h.Less(j, i) {
-			break
-		}
-		h.Swap(i, j)
-		j = i
-	}
-}
-
-func heapDown(h *fmHeap, i0, n int) {
-	i := i0
-	for {
-		j1 := 2*i + 1
-		if j1 >= n {
-			break
-		}
-		j := j1
-		if j2 := j1 + 1; j2 < n && h.Less(j2, j1) {
-			j = j2
-		}
-		if !h.Less(j, i) {
-			break
-		}
-		h.Swap(i, j)
-		i = j
-	}
 }

@@ -42,8 +42,8 @@ type Options struct {
 	// Workers bounds the goroutines of the parallel recursive bisection:
 	// the two branches of each bisection above parallelMinVerts vertices
 	// run as par.Limiter fork-join tasks, so at most Workers goroutines
-	// are live regardless of recursion depth (0 = GOMAXPROCS, 1 = the
-	// exact serial recursion). Results are identical at every worker
+	// are live regardless of recursion depth (0 = GOMAXPROCS, 1 runs the
+	// same recursion inline). Results are identical at every worker
 	// count because each branch derives its own deterministic RNG seed
 	// and writes a disjoint slice of the part assignment. The paper notes
 	// (§4.7) that its reordering implementations are serial and sees

@@ -11,7 +11,7 @@ import (
 
 func gridGraph(t *testing.T, nx, ny int) *graph.Graph {
 	t.Helper()
-	g, err := graph.FromMatrix(gen.Grid2D(nx, ny))
+	g, err := graph.FromMatrixSymmetrizedWorkers(gen.Grid2D(nx, ny), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestKWayGridBalanceAndCut(t *testing.T) {
 }
 
 func TestKWayPartIDsInRange(t *testing.T) {
-	g, err0 := graph.FromMatrix(gen.Grid2D(10, 10))
+	g, err0 := graph.FromMatrixSymmetrizedWorkers(gen.Grid2D(10, 10), 1)
 	if err0 != nil {
 		t.Fatal(err0)
 	}

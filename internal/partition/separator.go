@@ -32,15 +32,16 @@ func VertexSeparator(g *graph.Graph, opts Options, rng *rand.Rand) []uint8 {
 			}
 		}
 	}
-	h := &fmHeap{}
+	var h []fmEntry
 	for v := 0; v < g.N; v++ {
 		if cutDeg[v] > 0 {
-			*h = append(*h, fmEntry{int32(v), cutDeg[v]})
+			h = append(h, fmEntry{int32(v), cutDeg[v]})
 		}
 	}
-	heapInit(h)
-	for h.Len() > 0 {
-		e := heapPop(h)
+	heapify(h)
+	for len(h) > 0 {
+		var e fmEntry
+		e, h = heapPop(h)
 		v := int(e.v)
 		if label[v] == 2 || e.gain != cutDeg[v] || cutDeg[v] == 0 {
 			continue
@@ -51,7 +52,7 @@ func VertexSeparator(g *graph.Graph, opts Options, rng *rand.Rand) []uint8 {
 			if label[u] != 2 && side[u] != side[v] {
 				cutDeg[u]--
 				if cutDeg[u] > 0 {
-					heapPush(h, fmEntry{u, cutDeg[u]})
+					h = heapPush(h, fmEntry{u, cutDeg[u]})
 				}
 			}
 		}

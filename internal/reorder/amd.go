@@ -10,7 +10,7 @@ import (
 // checks in the AMD main loop.
 const amdCheckEvery = 256
 
-// ApproxMinimumDegree computes an approximate-minimum-degree ordering of g
+// approxMinimumDegree computes an approximate-minimum-degree ordering of g
 // in the style of Amestoy, Davis and Duff (paper ref. [1]): elimination is
 // simulated on a quotient graph whose cliques are stored implicitly as
 // elements, and the degree of a variable is bounded from above by
@@ -21,14 +21,9 @@ const amdCheckEvery = 256
 // obtained in a single counting sweep. Elements absorbed by the pivot and
 // elements whose pin set is contained in L_p (aggressive absorption) are
 // removed. The returned permutation is new-to-old: position k holds the
-// k-th eliminated variable.
-func ApproxMinimumDegree(g *graph.Graph) sparse.Perm {
-	return approxMinimumDegree(g, nil)
-}
-
-// approxMinimumDegree is the cancellable AMD core: done is polled every
-// amdCheckEvery eliminations (nil never cancels), and a cancelled call
-// returns the partial elimination order, which the caller must discard.
+// k-th eliminated variable. done is polled every amdCheckEvery
+// eliminations (nil never cancels), and a cancelled call returns the
+// partial elimination order, which the caller must discard.
 func approxMinimumDegree(g *graph.Graph, done <-chan struct{}) sparse.Perm {
 	n := g.N
 	if n == 0 {

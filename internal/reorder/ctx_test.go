@@ -120,7 +120,7 @@ func disjointGrids(k, n int) *sparse.CSR {
 			}
 		}
 	}
-	a, err := coo.ToCSR()
+	a, err := coo.ToCSRWorkers(1)
 	if err != nil {
 		panic(err)
 	}

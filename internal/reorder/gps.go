@@ -22,7 +22,10 @@ func GibbsPooleStockmeyer(g *graph.Graph) sparse.Perm {
 	n := g.N
 	perm := make(sparse.Perm, 0, n)
 	seen := make([]bool, n)
-	scratch := make([]int32, n)
+	// One level scratch serves every component: each traversal's levels
+	// are cleared after use, keeping the work per component proportional
+	// to its size.
+	scratch := graph.NewLevelScratch(n)
 
 	for s := 0; s < n; s++ {
 		if seen[s] {
@@ -44,6 +47,7 @@ func GibbsPooleStockmeyer(g *graph.Graph) sparse.Perm {
 			levelU[w] = ru.Level[w]
 		}
 		h := ru.Depth()
+		ru.Clear()
 		rv := graph.BFS(g, v, scratch)
 
 		// Combine: level(w) = lu(w) when lu(w) == h - lv(w).
@@ -116,6 +120,7 @@ func GibbsPooleStockmeyer(g *graph.Graph) sparse.Perm {
 				seen[w] = true
 			}
 		}
+		rv.Clear()
 		_ = u
 	}
 

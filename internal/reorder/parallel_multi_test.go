@@ -10,22 +10,22 @@ import (
 	"sparseorder/internal/sparse"
 )
 
-// TestWorkersByteIdenticalLargeMatrix is the tentpole's determinism check
-// above the parallel size thresholds, where the small-matrix identity test
-// never leaves the serial paths: 6400 vertices engages ND's fork-join
-// dissection (>1024), AMD's multiple elimination (≥4096) and the forked
-// recursive bisections of GP and HP (>4096). Run under -race in CI this
-// doubles as the race check for every new parallel path.
+// TestWorkersByteIdenticalLargeMatrix is the determinism check above the
+// parallel size thresholds, where the small-matrix identity test never
+// forks: 6400 vertices engages ND's fork-join dissection (>1024) and the
+// forked recursive bisections of GP and HP (>4096), and AMD must ignore
+// the worker count entirely. Run under -race in CI this doubles as the
+// race check for every parallel path.
 func TestWorkersByteIdenticalLargeMatrix(t *testing.T) {
 	a := gen.Scramble(gen.Grid2D(80, 80), 7)
 	for _, alg := range []Algorithm{AMD, ND, GP, HP} {
 		opts := Options{Seed: 3, Parts: 16, Workers: 1}
 		want, err := Compute(alg, a, opts)
 		if err != nil {
-			t.Fatalf("%s serial: %v", alg, err)
+			t.Fatalf("%s workers=1: %v", alg, err)
 		}
 		if len(want) != a.Rows || !want.IsValid() {
-			t.Fatalf("%s serial: invalid permutation", alg)
+			t.Fatalf("%s workers=1: invalid permutation", alg)
 		}
 		for _, w := range []int{2, 4, 7, 0} {
 			opts.Workers = w
@@ -35,46 +35,48 @@ func TestWorkersByteIdenticalLargeMatrix(t *testing.T) {
 			}
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("%s workers=%d: permutation differs from serial at %d", alg, w, i)
+					t.Fatalf("%s workers=%d: permutation differs from workers=1 at %d", alg, w, i)
 				}
 			}
 		}
 	}
 }
 
-// TestAMDWorkersMatchesClassicBelowThreshold pins the dispatch rule: below
-// amdMultiMinVerts the Workers entry point must run the classic serial
-// elimination unchanged, whatever the worker count.
-func TestAMDWorkersMatchesClassicBelowThreshold(t *testing.T) {
-	a := gen.Scramble(gen.Grid2D(20, 20), 5) // 400 < amdMultiMinVerts
-	g, err := graph.FromMatrixSymmetrized(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := approxMinimumDegree(g, nil)
-	for _, w := range []int{1, 4, 0} {
-		got := ApproxMinimumDegreeWorkers(g, w)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: differs from classic AMD at %d", w, i)
+// TestAMDWorkersMatchesClassic pins AMD to the classic quotient-graph
+// elimination at every size and worker count: the graph sizes straddle
+// 4096 vertices, where an earlier multiple-elimination variant took over.
+func TestAMDWorkersMatchesClassic(t *testing.T) {
+	for _, a := range []*sparse.CSR{
+		gen.Scramble(gen.Grid2D(20, 20), 5), // 400 vertices
+		gen.Scramble(gen.Grid2D(80, 80), 5), // 6400 vertices
+	} {
+		g, err := graph.FromMatrixSymmetrizedWorkers(a, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := approxMinimumDegree(g, nil)
+		for _, w := range []int{1, 2, 4, 7, 0} {
+			got, err := Compute(AMD, a, Options{Workers: w})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("n=%d workers=%d: differs from classic AMD at %d", g.N, w, i)
+				}
 			}
 		}
 	}
 }
 
-// TestAMDMultiEliminationQuality checks that the multiple-elimination AMD
-// is a real minimum-degree ordering, not merely a valid permutation: on a
-// scrambled mesh its Cholesky fill must land well below the unordered
-// fill and within a modest factor of the classic serial elimination.
-func TestAMDMultiEliminationQuality(t *testing.T) {
-	a := gen.Scramble(gen.Grid2D(80, 80), 11) // 6400 ≥ amdMultiMinVerts
-	g, err := graph.FromMatrixSymmetrized(a)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestAMDReducesFillOnLargeMesh checks that AMD is a real minimum-degree
+// ordering, not merely a valid permutation: on a scrambled mesh its
+// Cholesky fill must land well below the unordered fill.
+func TestAMDReducesFillOnLargeMesh(t *testing.T) {
+	a := gen.Scramble(gen.Grid2D(80, 80), 11)
 	fill := func(p sparse.Perm) int64 {
 		t.Helper()
-		b, err := sparse.PermuteSymmetric(a, p)
+		b, err := sparse.PermuteSymmetricWorkers(a, p, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,18 +86,13 @@ func TestAMDMultiEliminationQuality(t *testing.T) {
 		}
 		return nnz
 	}
-	multi := ApproxMinimumDegreeWorkers(g, 4)
-	if len(multi) != g.N || !multi.IsValid() {
-		t.Fatal("multi-elimination AMD produced an invalid permutation")
+	p, err := Compute(AMD, a, Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	multiFill := fill(multi)
-	classicFill := fill(approxMinimumDegree(g, nil))
-	origFill := fill(sparse.Identity(a.Rows))
-	if multiFill >= origFill {
-		t.Errorf("multi-elimination fill %d not below unordered fill %d", multiFill, origFill)
-	}
-	if float64(multiFill) > 1.5*float64(classicFill) {
-		t.Errorf("multi-elimination fill %d vs classic %d: more than 1.5x worse", multiFill, classicFill)
+	amdFill, origFill := fill(p), fill(sparse.Identity(a.Rows))
+	if 4*amdFill >= origFill {
+		t.Errorf("AMD fill %d not well below unordered fill %d", amdFill, origFill)
 	}
 }
 

@@ -1,6 +1,7 @@
 package reorder
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -10,11 +11,10 @@ import (
 	"sparseorder/internal/sparse"
 )
 
-// identityWorkerCounts are the counts the determinism contract promises
-// byte-identical results for (ISSUE: 1, 2, 4 and GOMAXPROCS; 0 resolves
-// to GOMAXPROCS).
+// identityWorkerCounts are the counts the determinism contract is checked
+// at: inline, 2, 4, an odd 7, GOMAXPROCS, and 0 (resolves to GOMAXPROCS).
 func identityWorkerCounts() []int {
-	return []int{1, 2, 4, runtime.GOMAXPROCS(0), 0}
+	return []int{1, 2, 4, 7, runtime.GOMAXPROCS(0), 0}
 }
 
 // TestWorkersByteIdenticalAllAlgorithms is the tentpole's central promise:
@@ -65,18 +65,18 @@ func TestCuthillMcKeeWorkersMatchesSerial(t *testing.T) {
 			coo.Append(i+1, i, 1)
 		}
 	}
-	a, err := coo.ToCSR()
+	a, err := coo.ToCSRWorkers(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := graph.FromMatrix(a)
+	g, err := graph.FromMatrixSymmetrizedWorkers(a, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, strategy := range []StartStrategy{PseudoPeripheralStart, MinDegreeStart} {
-		want := CuthillMcKeeWithStart(g, strategy)
-		for _, w := range []int{1, 2, 3, 4, 8, 16, 0} {
-			got := CuthillMcKeeWorkers(g, strategy, w)
+		want := cuthillMcKeeSerial(g, strategy)
+		for _, w := range []int{1, 2, 3, 4, 7, 8, 16, 0} {
+			got := cuthillMcKee(g, strategy, w, nil)
 			if len(got) != len(want) {
 				t.Fatalf("strategy %d workers=%d: length %d, want %d", strategy, w, len(got), len(want))
 			}
@@ -105,7 +105,7 @@ func edgeCorpus(t *testing.T) map[string]*sparse.CSR {
 		for _, e := range entries {
 			coo.Append(e[0], e[1], 1)
 		}
-		a, err := coo.ToCSR()
+		a, err := coo.ToCSRWorkers(1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +149,7 @@ func TestGrayBitmapBits64(t *testing.T) {
 	coo := sparse.NewCOO(2, 64, 2)
 	coo.Append(0, 0, 1)
 	coo.Append(1, 1, 1)
-	a, err := coo.ToCSR()
+	a, err := coo.ToCSRWorkers(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,25 +181,37 @@ func TestGrayBitmapBits64(t *testing.T) {
 func benchGraph(b *testing.B) *graph.Graph {
 	b.Helper()
 	a := gen.Scramble(gen.Grid3D(22, 22, 22), 4)
-	g, err := graph.FromMatrixSymmetrized(a)
+	g, err := graph.FromMatrixSymmetrizedWorkers(a, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	return g
 }
 
+// BenchmarkReorderRCM compares Cuthill-McKee with the vertex-by-vertex
+// oracle it replaced, on a connected mesh and on an R-MAT graph with
+// thousands of components: at workers=1 the one path must not be slower.
 func BenchmarkReorderRCM(b *testing.B) {
-	g := benchGraph(b)
-	for _, w := range []int{1, 4} {
-		name := "serial"
-		if w > 1 {
-			name = "workers4"
-		}
-		b.Run(name, func(b *testing.B) {
+	rmat, err := graph.FromMatrixSymmetrizedWorkers(gen.RMAT(14, 16, 5), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, m := range []struct {
+		name string
+		g    *graph.Graph
+	}{{"mesh", benchGraph(b)}, {"rmat14", rmat}} {
+		b.Run(m.name+"/oracle", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				ReverseCuthillMcKeeWorkers(g, PseudoPeripheralStart, w)
+				cuthillMcKeeSerial(m.g, PseudoPeripheralStart)
 			}
 		})
+		for _, w := range []int{1, 4} {
+			b.Run(fmt.Sprintf("%s/workers=%d", m.name, w), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					cuthillMcKee(m.g, PseudoPeripheralStart, w, nil)
+				}
+			})
+		}
 	}
 }
 
@@ -219,5 +231,38 @@ func BenchmarkReorderPipeline(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestOrderingAllocationLinearInComponents is the regression test for
+// traversal scratch that was reset and sized per component: on a graph of
+// n isolated vertices — n components — the bytes RCM, GPS and Sloan
+// allocate must stay O(n), not O(components × n).
+func TestOrderingAllocationLinearInComponents(t *testing.T) {
+	const n = 4096
+	g := &graph.Graph{N: n, Ptr: make([]int, n+1)}
+	for _, c := range []struct {
+		name  string
+		order func() sparse.Perm
+	}{
+		{"rcm", func() sparse.Perm { return ReverseCuthillMcKeeWorkers(g, PseudoPeripheralStart, 1) }},
+		{"rcm-mindegree", func() sparse.Perm { return ReverseCuthillMcKeeWorkers(g, MinDegreeStart, 1) }},
+		{"rcm-workers2", func() sparse.Perm { return ReverseCuthillMcKeeWorkers(g, PseudoPeripheralStart, 2) }},
+		{"gps", func() sparse.Perm { return GibbsPooleStockmeyer(g) }},
+		{"sloan", func() sparse.Perm { return Sloan(g, 0, 0) }},
+	} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		p := c.order()
+		runtime.ReadMemStats(&after)
+		if len(p) != n || !p.IsValid() {
+			t.Fatalf("%s: invalid permutation", c.name)
+		}
+		perVertex := float64(after.TotalAlloc-before.TotalAlloc) / n
+		t.Logf("%s: %.0f bytes allocated per vertex", c.name, perVertex)
+		if perVertex > 2048 {
+			t.Errorf("%s: %.0f bytes allocated per vertex on %d isolated vertices, want O(1) per vertex", c.name, perVertex, n)
+		}
 	}
 }

@@ -1,8 +1,7 @@
 package reorder
 
 import (
-	"sort"
-	"sync"
+	"slices"
 
 	"sparseorder/internal/graph"
 	"sparseorder/internal/par"
@@ -25,189 +24,14 @@ const (
 // checks in the Cuthill-McKee BFS loop.
 const cmCheckEvery = 1024
 
-// CuthillMcKee computes the Cuthill-McKee ordering of g: each connected
-// component is traversed breadth-first from a pseudo-peripheral vertex,
-// appending unvisited neighbours in ascending-degree order. The returned
-// permutation is new-to-old.
-func CuthillMcKee(g *graph.Graph) sparse.Perm {
-	return CuthillMcKeeWithStart(g, PseudoPeripheralStart)
-}
-
-// CuthillMcKeeWithStart is CuthillMcKee with an explicit root-selection
-// strategy.
-func CuthillMcKeeWithStart(g *graph.Graph, strategy StartStrategy) sparse.Perm {
-	return cuthillMcKeeSerial(g, strategy, nil)
-}
-
-// cuthillMcKeeSerial is the serial Cuthill-McKee core with a cooperative
-// cancellation hook; a nil done runs the historical uncancellable path at
-// no extra cost beyond a counter. On cancellation the partial permutation
-// is returned and must be discarded by the caller.
-func cuthillMcKeeSerial(g *graph.Graph, strategy StartStrategy, done <-chan struct{}) sparse.Perm {
-	n := g.N
-	perm := make(sparse.Perm, 0, n)
-	visited := make([]bool, n)
-	scratch := make([]int32, n)
-	neigh := make([]int32, 0, g.MaxDegree())
-
-	for s := 0; s < n; s++ {
-		if visited[s] {
-			continue
-		}
-		perm = cmComponent(g, s, strategy, perm, visited, scratch, neigh, done)
-		if par.Canceled(done) {
-			return perm
-		}
-	}
-	return perm
-}
-
-// cmComponent appends the Cuthill-McKee ordering of the component whose
-// smallest-index vertex is s to perm. It touches visited only at the
-// component's own vertices, so concurrent calls on distinct components
-// sharing one visited slice are safe; scratch (length g.N) and neigh are
-// per-caller scratch space. done is polled every cmCheckEvery dequeues
-// (nil never cancels); a cancelled call returns a partial ordering that
-// the caller must discard.
-func cmComponent(g *graph.Graph, s int, strategy StartStrategy, perm sparse.Perm, visited []bool, scratch, neigh []int32, done <-chan struct{}) sparse.Perm {
-	start := s
-	if strategy == PseudoPeripheralStart {
-		start, _ = graph.PseudoPeripheralCancel(g, s, scratch, done)
-	} else {
-		// Minimum-degree vertex of the component containing s.
-		r := graph.BFSCancel(g, s, scratch, done)
-		for _, v := range r.Order {
-			if g.Degree(int(v)) < g.Degree(start) {
-				start = int(v)
-			}
-		}
-	}
-	if par.Canceled(done) {
-		return perm
-	}
-	compStart := len(perm)
-	perm = append(perm, start)
-	visited[start] = true
-	for head := compStart; head < len(perm); head++ {
-		if (head-compStart)%cmCheckEvery == cmCheckEvery-1 && par.Canceled(done) {
-			return perm
-		}
-		v := perm[head]
-		neigh = neigh[:0]
-		for _, u := range g.Neighbors(v) {
-			if !visited[u] {
-				visited[u] = true
-				neigh = append(neigh, u)
-			}
-		}
-		sort.Slice(neigh, func(i, j int) bool {
-			di, dj := g.Degree(int(neigh[i])), g.Degree(int(neigh[j]))
-			if di != dj {
-				return di < dj
-			}
-			return neigh[i] < neigh[j]
-		})
-		for _, u := range neigh {
-			perm = append(perm, int(u))
-		}
-	}
-	return perm
-}
-
-// CuthillMcKeeWorkers computes the Cuthill-McKee ordering with connected
-// components ordered concurrently. Components are independent, and the
-// per-component orderings are concatenated in ascending order of each
-// component's smallest vertex — exactly the order the serial loop
-// discovers them — so the permutation is byte-identical to
-// CuthillMcKeeWithStart at every worker count (0 = GOMAXPROCS, 1 = the
-// exact serial code path).
-func CuthillMcKeeWorkers(g *graph.Graph, strategy StartStrategy, workers int) sparse.Perm {
-	return cuthillMcKee(g, strategy, workers, nil)
-}
-
-// cuthillMcKee is the cancellable Cuthill-McKee dispatcher behind the
-// exported entry points: done is polled inside every component traversal
-// (serial or pooled), so a wedged ordering stops within cmCheckEvery
-// dequeues of a cancellation instead of running to completion, and the
-// pool goroutines exit promptly rather than leaking past their caller.
-func cuthillMcKee(g *graph.Graph, strategy StartStrategy, workers int, done <-chan struct{}) sparse.Perm {
-	w := par.Resolve(workers)
-	if w == 1 {
-		return cuthillMcKeeSerial(g, strategy, done)
-	}
-	if g.N == 0 {
-		return sparse.Perm{}
-	}
-	// Order the component of vertex 0 inline first — for a connected graph
-	// (the common case) this is the entire ordering at exactly the serial
-	// cost, with no component scan, channel or goroutine overhead.
-	visited := make([]bool, g.N)
-	first := cmComponent(g, 0, strategy, make(sparse.Perm, 0, g.N), visited,
-		make([]int32, g.N), make([]int32, 0, g.MaxDegree()), done)
-	if len(first) == g.N || par.Canceled(done) {
-		return first
-	}
-	// Remaining components run on the pool. Components lists them in
-	// ascending order of their smallest vertex — the order the serial loop
-	// discovers them — with the already-ordered component of vertex 0
-	// first.
-	allComps, _ := graph.Components(g)
-	comps := allComps[1:]
-	// visited is shared: each component writes only its own vertices, so
-	// the goroutines touch disjoint index sets. scratch and neigh are per
-	// worker; BFS level arrays must be g.N long.
-	parts := make([]sparse.Perm, len(comps))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	if w > len(comps) {
-		w = len(comps)
-	}
-	for i := 0; i < w; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			scratch := make([]int32, g.N)
-			neigh := make([]int32, 0, g.MaxDegree())
-			for ci := range jobs {
-				if par.Canceled(done) {
-					continue // drain remaining jobs without ordering them
-				}
-				comp := comps[ci]
-				part := make(sparse.Perm, 0, len(comp))
-				parts[ci] = cmComponent(g, int(comp[0]), strategy, part, visited, scratch, neigh, done)
-			}
-		}()
-	}
-	for ci := range comps {
-		jobs <- ci
-	}
-	close(jobs)
-	wg.Wait()
-	perm := first
-	for _, part := range parts {
-		perm = append(perm, part...)
-	}
-	return perm
-}
-
-// ReverseCuthillMcKee returns the Cuthill-McKee ordering reversed, the
-// variant preferred in practice (paper §2.1.1).
-func ReverseCuthillMcKee(g *graph.Graph) sparse.Perm {
-	return ReverseCuthillMcKeeWithStart(g, PseudoPeripheralStart)
-}
-
-// ReverseCuthillMcKeeWithStart is ReverseCuthillMcKee with an explicit
-// root-selection strategy.
-func ReverseCuthillMcKeeWithStart(g *graph.Graph, strategy StartStrategy) sparse.Perm {
-	p := CuthillMcKeeWithStart(g, strategy)
-	for i, j := 0, len(p)-1; i < j; i, j = i+1, j-1 {
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// ReverseCuthillMcKeeWorkers is ReverseCuthillMcKee with connected
-// components ordered concurrently by CuthillMcKeeWorkers.
+// ReverseCuthillMcKeeWorkers returns the reverse Cuthill-McKee ordering of
+// g, the variant preferred in practice (paper §2.1.1): each connected
+// component is traversed breadth-first from a root chosen by strategy,
+// appending unvisited neighbours in ascending-degree order, and the whole
+// order is reversed. Components are ordered on up to workers goroutines
+// (0 = GOMAXPROCS, 1 runs the same code inline) and concatenated in
+// ascending order of each component's smallest vertex, so the permutation
+// is byte-identical at every worker count. The permutation is new-to-old.
 func ReverseCuthillMcKeeWorkers(g *graph.Graph, strategy StartStrategy, workers int) sparse.Perm {
 	return reverseCuthillMcKee(g, strategy, workers, nil)
 }
@@ -220,4 +44,120 @@ func reverseCuthillMcKee(g *graph.Graph, strategy StartStrategy, workers int, do
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
+}
+
+// cuthillMcKee computes the (unreversed) Cuthill-McKee ordering. A
+// sequential sweep discovers the components in ascending order of their
+// smallest vertex: an unvisited vertex s roots a BFS that is both the
+// discovery of s's component and the first round of its root search, so
+// discovery adds no traversal. The components are then ordered on the
+// pool, each into its precomputed slice of the permutation. done is
+// polled inside every traversal, so a wedged ordering stops within
+// cmCheckEvery dequeues of a cancellation and the pool goroutines exit
+// promptly; a cancelled call returns a partial ordering that the caller
+// must discard.
+func cuthillMcKee(g *graph.Graph, strategy StartStrategy, workers int, done <-chan struct{}) sparse.Perm {
+	// seen holds the discovery rounds' levels; nothing clears it before
+	// the sweep ends, so during the sweep seen[v] >= 0 marks a discovered
+	// vertex.
+	seen := graph.NewLevelScratch(g.N)
+	var comps []*graph.BFSResult
+	for s := 0; s < g.N; s++ {
+		if seen[s] < 0 {
+			comps = append(comps, graph.BFSCancel(g, s, seen, done))
+			if par.Canceled(done) {
+				return nil
+			}
+		}
+	}
+	perm := make(sparse.Perm, g.N)
+	offs := make([]int, len(comps))
+	for c := 1; c < len(comps); c++ {
+		offs[c] = offs[c-1] + len(comps[c-1].Order)
+	}
+	// visited is shared: each component writes only its own vertices, so
+	// concurrent workers touch disjoint index sets.
+	visited := make([]bool, g.N)
+	w := par.Chunks(len(comps), par.Resolve(workers))
+	scratch := make([]*cmScratch, w)
+	par.Each(len(comps), w, func(worker, c int) {
+		if par.Canceled(done) {
+			return // drain remaining jobs without ordering them
+		}
+		if scratch[worker] == nil {
+			scratch[worker] = newCMScratch(g)
+		}
+		r, off := comps[c], offs[c]
+		cmComponent(g, r, strategy, perm[off:off:off+len(r.Order)], visited, scratch[worker], done)
+	})
+	return perm
+}
+
+// cmScratch is one worker's reusable Cuthill-McKee state: a BFS level
+// array that holds -1 everywhere between components (so each component's
+// root search costs O(component), not O(g.N)) and the neighbour buffer.
+type cmScratch struct {
+	level []int32
+	neigh []int32
+}
+
+func newCMScratch(g *graph.Graph) *cmScratch {
+	return &cmScratch{level: graph.NewLevelScratch(g.N), neigh: make([]int32, 0, g.MaxDegree())}
+}
+
+// cmComponent appends the Cuthill-McKee ordering of the component that
+// the discovery BFS r traversed to perm. It touches visited only at the
+// component's own vertices, so concurrent calls on distinct components
+// sharing one visited slice are safe, and it leaves sc's level array as
+// it found it. done is polled every cmCheckEvery dequeues (nil never
+// cancels); a cancelled call returns a partial ordering that the caller
+// must discard.
+func cmComponent(g *graph.Graph, r *graph.BFSResult, strategy StartStrategy, perm sparse.Perm, visited []bool, sc *cmScratch, done <-chan struct{}) sparse.Perm {
+	start := r.Root
+	if strategy == PseudoPeripheralStart {
+		start, _ = graph.PseudoPeripheralFrom(g, r, sc.level, done)
+		for _, v := range r.Order {
+			sc.level[v] = -1
+		}
+	} else {
+		// Minimum-degree vertex of the component.
+		for _, v := range r.Order {
+			if g.Degree(int(v)) < g.Degree(start) {
+				start = int(v)
+			}
+		}
+	}
+	if par.Canceled(done) {
+		return perm
+	}
+	compStart := len(perm)
+	perm = append(perm, start)
+	visited[start] = true
+	neigh := sc.neigh
+	for head := compStart; head < len(perm); head++ {
+		if (head-compStart)%cmCheckEvery == cmCheckEvery-1 && par.Canceled(done) {
+			return perm
+		}
+		v := perm[head]
+		neigh = neigh[:0]
+		for _, u := range g.Neighbors(v) {
+			if !visited[u] {
+				visited[u] = true
+				neigh = append(neigh, u)
+			}
+		}
+		// Degree then index is a total order on distinct vertices, so the
+		// result does not depend on the sorting algorithm.
+		slices.SortFunc(neigh, func(x, y int32) int {
+			if dx, dy := g.Degree(int(x)), g.Degree(int(y)); dx != dy {
+				return dx - dy
+			}
+			return int(x - y)
+		})
+		for _, u := range neigh {
+			perm = append(perm, int(u))
+		}
+	}
+	sc.neigh = neigh
+	return perm
 }

@@ -65,14 +65,14 @@ type Options struct {
 	// paper's configuration is the cut-net metric (default); PaToH's other
 	// metric, connectivity-1, is available as well (§3.3).
 	HPObjective HPObjective
-	// Workers bounds the goroutines of the parallel reordering hot path —
-	// A+Aᵀ adjacency construction, the permutation application in Apply,
-	// and all five graph/matrix orderings: component-parallel
-	// Cuthill-McKee, multiple-elimination AMD, fork-join nested
-	// dissection, and the parallel recursive bisections behind GP and HP.
-	// 0 means GOMAXPROCS, 1 runs the exact serial code path. Permutations
-	// and reordered matrices are byte-identical at every worker count (see
-	// DESIGN.md, "Parallel reordering determinism contract").
+	// Workers bounds the goroutines of the reordering hot path — A+Aᵀ
+	// adjacency construction, the permutation application in Apply,
+	// component-parallel Cuthill-McKee, fork-join nested dissection, and
+	// the recursive bisections behind GP and HP. AMD runs on the calling
+	// goroutine. 0 means GOMAXPROCS, 1 runs the same code inline.
+	// Permutations and reordered matrices are byte-identical at every
+	// worker count (see DESIGN.md, "Parallel reordering determinism
+	// contract").
 	Workers int
 
 	// obs is the observability sink resolved from the call context; it is
@@ -273,7 +273,7 @@ func orderGraph(alg Algorithm, g *graph.Graph, opts Options, done <-chan struct{
 	case RCM:
 		return reverseCuthillMcKee(g, PseudoPeripheralStart, opts.Workers, done), nil
 	case AMD:
-		return approxMinimumDegreeWorkers(g, opts.Workers, opts.obs, done), nil
+		return approxMinimumDegree(g, done), nil
 	case ND:
 		return nestedDissection(g, opts, done), nil
 	case GP:

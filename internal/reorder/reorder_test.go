@@ -21,7 +21,7 @@ func randomSquare(rng *rand.Rand, n, nnz int) *sparse.CSR {
 	for k := 0; k < nnz; k++ {
 		coo.Append(rng.Intn(n), rng.Intn(n), rng.NormFloat64())
 	}
-	a, err := coo.ToCSR()
+	a, err := coo.ToCSRWorkers(1)
 	if err != nil {
 		panic(err)
 	}
@@ -62,7 +62,7 @@ func TestPermutationValidityQuick(t *testing.T) {
 func TestComputeRejectsRectangular(t *testing.T) {
 	coo := sparse.NewCOO(2, 3, 1)
 	coo.Append(0, 2, 1)
-	a, _ := coo.ToCSR()
+	a, _ := coo.ToCSRWorkers(1)
 	if _, err := Compute(RCM, a, Options{}); err == nil {
 		t.Error("accepted rectangular matrix")
 	}
@@ -86,7 +86,7 @@ func TestRCMOnPathRecoversBand(t *testing.T) {
 			coo.Append(i+1, i, -1)
 		}
 	}
-	path, _ := coo.ToCSR()
+	path, _ := coo.ToCSRWorkers(1)
 	scrambled := gen.Scramble(path, 42)
 	if metrics.Bandwidth(scrambled) <= 1 {
 		t.Fatal("scramble did not destroy the band")
@@ -115,12 +115,12 @@ func TestRCMReducesBandwidthOnScrambledGrid(t *testing.T) {
 
 func TestCuthillMcKeeReversal(t *testing.T) {
 	a := gen.Grid2D(6, 6)
-	g, err := graph.FromMatrix(a)
+	g, err := graph.FromMatrixSymmetrizedWorkers(a, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cm := CuthillMcKee(g)
-	rcm := ReverseCuthillMcKee(g)
+	cm := cuthillMcKee(g, PseudoPeripheralStart, 1, nil)
+	rcm := ReverseCuthillMcKeeWorkers(g, PseudoPeripheralStart, 1)
 	for i := range cm {
 		if cm[i] != rcm[len(rcm)-1-i] {
 			t.Fatal("RCM is not the reversal of CM")
@@ -139,12 +139,12 @@ func TestRCMHandlesDisconnected(t *testing.T) {
 		coo.Append(i, i+1, 1)
 		coo.Append(i+1, i, 1)
 	}
-	a, _ := coo.ToCSR()
-	g, err := graph.FromMatrix(a)
+	a, _ := coo.ToCSRWorkers(1)
+	g, err := graph.FromMatrixSymmetrizedWorkers(a, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := ReverseCuthillMcKee(g)
+	p := ReverseCuthillMcKeeWorkers(g, PseudoPeripheralStart, 1)
 	if len(p) != 8 || !p.IsValid() {
 		t.Fatalf("invalid permutation on disconnected graph: %v", p)
 	}
@@ -152,7 +152,7 @@ func TestRCMHandlesDisconnected(t *testing.T) {
 
 func TestAMDOnIsolatedVertices(t *testing.T) {
 	g := &graph.Graph{N: 5, Ptr: []int{0, 0, 0, 0, 0, 0}}
-	p := ApproxMinimumDegree(g)
+	p := approxMinimumDegree(g, nil)
 	if len(p) != 5 || !p.IsValid() {
 		t.Fatalf("AMD on edgeless graph: %v", p)
 	}
@@ -166,12 +166,12 @@ func TestAMDEliminatesLeavesFirstOnStar(t *testing.T) {
 		coo.Append(0, i, 1)
 		coo.Append(i, 0, 1)
 	}
-	a, _ := coo.ToCSR()
-	g, err := graph.FromMatrix(a)
+	a, _ := coo.ToCSRWorkers(1)
+	g, err := graph.FromMatrixSymmetrizedWorkers(a, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := ApproxMinimumDegree(g)
+	p := approxMinimumDegree(g, nil)
 	if !p.IsValid() {
 		t.Fatal("invalid permutation")
 	}
@@ -195,7 +195,7 @@ func TestNDSeparatorStructure(t *testing.T) {
 	// On a grid, ND must produce a valid permutation and, with the separator
 	// ordered last, the final vertices should form a separator-ish band.
 	a := gen.Grid2D(16, 16)
-	g, err := graph.FromMatrix(a)
+	g, err := graph.FromMatrixSymmetrizedWorkers(a, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestNDSeparatorStructure(t *testing.T) {
 
 func TestGPGroupsPartsContiguously(t *testing.T) {
 	a := gen.Grid2D(16, 16)
-	g, err := graph.FromMatrix(a)
+	g, err := graph.FromMatrixSymmetrizedWorkers(a, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestGrayDenseRowsFirst(t *testing.T) {
 			coo.Append(i, rng.Intn(n), 1)
 		}
 	}
-	a, _ := coo.ToCSR()
+	a, _ := coo.ToCSRWorkers(1)
 	p := GrayOrder(a, Options{}.withDefaults())
 	if !p.IsValid() {
 		t.Fatal("invalid Gray permutation")
@@ -291,7 +291,7 @@ func TestGraySortsSparseRowsByGrayRank(t *testing.T) {
 			coo.Append(i, rng.Intn(n), 1)
 		}
 	}
-	a, _ := coo.ToCSR()
+	a, _ := coo.ToCSRWorkers(1)
 	opts := Options{}.withDefaults()
 	p := GrayOrder(a, opts)
 	prev := uint64(0)
@@ -317,7 +317,7 @@ func TestRowBitmapSections(t *testing.T) {
 	coo := sparse.NewCOO(1, 16, 2)
 	coo.Append(0, 0, 1)  // section 0 -> MSB
 	coo.Append(0, 15, 1) // section 15 -> LSB
-	a, _ := coo.ToCSR()
+	a, _ := coo.ToCSRWorkers(1)
 	bm := rowBitmap(a, 0, 16)
 	if bm != (1<<15)|1 {
 		t.Errorf("bitmap = %b, want %b", bm, (1<<15)|1)
@@ -337,9 +337,9 @@ func TestApplySymmetricVsRows(t *testing.T) {
 		}
 		var want *sparse.CSR
 		if alg.Symmetric() {
-			want, _ = sparse.PermuteSymmetric(a, p)
+			want, _ = sparse.PermuteSymmetricWorkers(a, p, 1)
 		} else {
-			want, _ = sparse.PermuteRows(a, p)
+			want, _ = sparse.PermuteRowsWorkers(a, p, 1)
 		}
 		if !b.Equal(want) {
 			t.Errorf("%s: Apply disagrees with manual permutation", alg)
@@ -371,16 +371,16 @@ func TestOriginalIsIdentity(t *testing.T) {
 
 func TestRCMStartStrategies(t *testing.T) {
 	a := gen.Scramble(gen.Grid2D(16, 16), 9)
-	g, err := graph.FromMatrix(a)
+	g, err := graph.FromMatrixSymmetrizedWorkers(a, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, strat := range []StartStrategy{PseudoPeripheralStart, MinDegreeStart} {
-		p := ReverseCuthillMcKeeWithStart(g, strat)
+		p := ReverseCuthillMcKeeWorkers(g, strat, 1)
 		if len(p) != g.N || !p.IsValid() {
 			t.Fatalf("strategy %d: invalid permutation", strat)
 		}
-		b, err := sparse.PermuteSymmetric(a, p)
+		b, err := sparse.PermuteSymmetricWorkers(a, p, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -409,7 +409,7 @@ func TestGPWeightedBalancesNonzeros(t *testing.T) {
 	}
 	// Re-run the underlying weighted partition and verify the nnz balance
 	// directly (the ordering is a deterministic function of it).
-	g, err := graph.FromMatrix(s)
+	g, err := graph.FromMatrixSymmetrizedWorkers(s, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,7 +443,7 @@ func TestSeparatedBlockDiagonal(t *testing.T) {
 	}
 	// Apply both permutations; the result must keep all nonzeros and
 	// reduce the off-diagonal block count versus the scrambled input.
-	b, err := sparse.PermuteRows(a, res.RowPerm)
+	b, err := sparse.PermuteRowsWorkers(a, res.RowPerm, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,7 +474,7 @@ func TestSeparatedBlockDiagonalTiny(t *testing.T) {
 
 func TestGPSValidAndReducesBandwidth(t *testing.T) {
 	a := gen.Scramble(gen.Grid2D(20, 20), 8)
-	g, err := graph.FromMatrix(a)
+	g, err := graph.FromMatrixSymmetrizedWorkers(a, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +482,7 @@ func TestGPSValidAndReducesBandwidth(t *testing.T) {
 	if len(p) != g.N || !p.IsValid() {
 		t.Fatal("GPS invalid permutation")
 	}
-	b, err := sparse.PermuteSymmetric(a, p)
+	b, err := sparse.PermuteSymmetricWorkers(a, p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,8 +492,8 @@ func TestGPSValidAndReducesBandwidth(t *testing.T) {
 		t.Errorf("GPS bandwidth %d not well below scrambled %d", after, before)
 	}
 	// GPS should be in the same ballpark as RCM on a mesh.
-	rcm := ReverseCuthillMcKee(g)
-	br, err := sparse.PermuteSymmetric(a, rcm)
+	rcm := ReverseCuthillMcKeeWorkers(g, PseudoPeripheralStart, 1)
+	br, err := sparse.PermuteSymmetricWorkers(a, rcm, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,14 +512,14 @@ func TestGPSOnPath(t *testing.T) {
 			coo.Append(i+1, i, -1)
 		}
 	}
-	path, _ := coo.ToCSR()
+	path, _ := coo.ToCSRWorkers(1)
 	a := gen.Scramble(path, 21)
-	g, err := graph.FromMatrix(a)
+	g, err := graph.FromMatrixSymmetrizedWorkers(a, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := GibbsPooleStockmeyer(g)
-	b, err := sparse.PermuteSymmetric(a, p)
+	b, err := sparse.PermuteSymmetricWorkers(a, p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -536,8 +536,8 @@ func TestGPSDisconnected(t *testing.T) {
 	}
 	coo.Append(6, 7, 1)
 	coo.Append(7, 6, 1)
-	a, _ := coo.ToCSR()
-	g, err := graph.FromMatrix(a)
+	a, _ := coo.ToCSRWorkers(1)
+	g, err := graph.FromMatrixSymmetrizedWorkers(a, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -601,18 +601,18 @@ func TestAMDQualityAgainstExactMinimumDegree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, err := graph.FromMatrix(s)
+		g, err := graph.FromMatrixSymmetrizedWorkers(s, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		amdPerm := ApproxMinimumDegree(g)
+		amdPerm := approxMinimumDegree(g, nil)
 		exactPerm := minDegreeExact(g)
 
-		amdM, err := sparse.PermuteSymmetric(s, amdPerm)
+		amdM, err := sparse.PermuteSymmetricWorkers(s, amdPerm, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		exactM, err := sparse.PermuteSymmetric(s, exactPerm)
+		exactM, err := sparse.PermuteSymmetricWorkers(s, exactPerm, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -658,7 +658,7 @@ func TestHPConnectivityObjective(t *testing.T) {
 
 func TestSloanValidAndReducesProfile(t *testing.T) {
 	a := gen.Scramble(gen.Grid2D(20, 20), 15)
-	g, err := graph.FromMatrix(a)
+	g, err := graph.FromMatrixSymmetrizedWorkers(a, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -666,7 +666,7 @@ func TestSloanValidAndReducesProfile(t *testing.T) {
 	if len(p) != g.N || !p.IsValid() {
 		t.Fatal("Sloan produced an invalid permutation")
 	}
-	b, err := sparse.PermuteSymmetric(a, p)
+	b, err := sparse.PermuteSymmetricWorkers(a, p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -676,8 +676,8 @@ func TestSloanValidAndReducesProfile(t *testing.T) {
 		t.Errorf("Sloan profile %d not well below scrambled %d", after, before)
 	}
 	// Sloan should be competitive with RCM on the profile metric.
-	rcm := ReverseCuthillMcKee(g)
-	br, err := sparse.PermuteSymmetric(a, rcm)
+	rcm := ReverseCuthillMcKeeWorkers(g, PseudoPeripheralStart, 1)
+	br, err := sparse.PermuteSymmetricWorkers(a, rcm, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -694,8 +694,8 @@ func TestSloanDisconnected(t *testing.T) {
 	}
 	coo.Append(7, 8, 1)
 	coo.Append(8, 7, 1)
-	a, _ := coo.ToCSR()
-	g, err := graph.FromMatrix(a)
+	a, _ := coo.ToCSRWorkers(1)
+	g, err := graph.FromMatrixSymmetrizedWorkers(a, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -707,7 +707,7 @@ func TestSloanDisconnected(t *testing.T) {
 
 func TestSloanWeightsChangeOrdering(t *testing.T) {
 	a := gen.Scramble(gen.Grid2D(12, 12), 16)
-	g, err := graph.FromMatrix(a)
+	g, err := graph.FromMatrixSymmetrizedWorkers(a, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

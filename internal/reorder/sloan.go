@@ -32,7 +32,9 @@ func Sloan(g *graph.Graph, w1, w2 int) sparse.Perm {
 	perm := make(sparse.Perm, 0, n)
 	status := make([]uint8, n)
 	prio := make([]int, n)
-	scratch := make([]int32, n)
+	// Shared across components; every traversal's levels are cleared
+	// after use (see graph.BFS).
+	scratch := graph.NewLevelScratch(n)
 
 	for s := 0; s < n; s++ {
 		if status[s] != inactive {
@@ -47,10 +49,12 @@ func Sloan(g *graph.Graph, w1, w2 int) sparse.Perm {
 				end = int(v)
 			}
 		}
+		r.Clear()
 		dist := graph.BFS(g, end, scratch)
 		for _, v := range r.Order {
 			prio[v] = w1*int(dist.Level[v]) - w2*(g.Degree(int(v))+1)
 		}
+		dist.Clear()
 
 		pq := &sloanHeap{}
 		push := func(v int32) { heap.Push(pq, sloanEntry{v, prio[v]}) }

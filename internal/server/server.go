@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"runtime"
 	"runtime/debug"
@@ -281,11 +282,30 @@ type apiError struct {
 // context canceled) before a response was produced.
 const statusClientClosed = 499
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// jsonBufs recycles the buffers responses are staged in: encoding must
+// finish before the status is committed, and a y of 16k entries encodes
+// to hundreds of kilobytes, too much to allocate per request.
+var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// writeJSON encodes v before committing the status, so a value JSON
+// cannot represent (a NaN or ±Inf in a product) becomes a classified 500
+// instead of a 200 with an empty body.
+func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
+	buf := jsonBufs.Get().(*bytes.Buffer)
+	defer jsonBufs.Put(buf)
+	buf.Reset()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		s.writeError(w, http.StatusInternalServerError, experiments.FailError, "encoding response: "+err.Error())
+		return
+	}
+	writeBody(w, status, buf.Bytes())
+}
+
+// writeBody commits the status and writes an encoded JSON body.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.Encode(v)
+	w.Write(body)
 }
 
 func (s *Server) writeError(w http.ResponseWriter, status int, class experiments.FailureClass, msg string) {
@@ -296,7 +316,9 @@ func (s *Server) writeError(w http.ResponseWriter, status int, class experiments
 		w.Header().Set("Retry-After",
 			strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
 	}
-	writeJSON(w, status, apiError{Error: msg, Class: class})
+	// An apiError is two strings, which always encode.
+	body, _ := json.Marshal(apiError{Error: msg, Class: class})
+	writeBody(w, status, append(body, '\n'))
 }
 
 // classStatus maps a classified evaluation failure onto an HTTP status.
@@ -520,7 +542,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		s.store.touch(key)
-		writeJSON(w, http.StatusOK, uploadResponse{
+		s.writeJSON(w, http.StatusOK, uploadResponse{
 			Key: key, Rows: m.Rows, Cols: m.Cols, NNZ: m.NNZ,
 			Ordering: m.Ordering, Cached: true, Deduplicated: true,
 			Persisted:      persisted,
@@ -536,6 +558,11 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	rt.phase(phaseDecode, t0)
 	if err != nil {
 		s.writeClassified(w, err, http.StatusBadRequest)
+		return
+	}
+	if k := firstNonFinite(mat.Val); k >= 0 {
+		s.writeError(w, http.StatusBadRequest, experiments.FailError,
+			fmt.Sprintf("matrix value %v at stored entry %d is not finite", mat.Val[k], k))
 		return
 	}
 
@@ -590,7 +617,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		cached = true
 	}
 	persisted := s.persistEntry(rt, e)
-	writeJSON(w, http.StatusOK, uploadResponse{
+	s.writeJSON(w, http.StatusOK, uploadResponse{
 		Key: key, Rows: e.rows, Cols: e.cols, NNZ: e.nnz,
 		Ordering: string(alg), Cached: cached, Persisted: persisted,
 		ReorderSeconds: e.reorderSeconds,
@@ -628,6 +655,18 @@ func readBody(w http.ResponseWriter, r *http.Request, maxBody int64) ([]byte, er
 	return buf.Bytes(), nil
 }
 
+// firstNonFinite returns the index of the first NaN or ±Inf in vals, or
+// -1. The daemon serves finite matrices only: JSON cannot carry a
+// non-finite y, so such a matrix could never be answered.
+func firstNonFinite(vals []float64) int {
+	for k, v := range vals {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return k
+		}
+	}
+	return -1
+}
+
 // decodeUpload is the upload's decode phase: the injected fault site plus
 // the Matrix Market parse.
 func decodeUpload(ctx context.Context, key string, body []byte, workers int) (*sparse.CSR, error) {
@@ -661,7 +700,7 @@ func (s *Server) handleMeta(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusNotFound, experiments.FailError, "unknown matrix key")
 		return
 	}
-	writeJSON(w, http.StatusOK, m)
+	s.writeJSON(w, http.StatusOK, m)
 }
 
 // spmvRequest is the POST /spmv/{key} body.
@@ -714,7 +753,7 @@ func (s *Server) handleSpMV(w http.ResponseWriter, r *http.Request) {
 		s.writeClassified(w, err, http.StatusInternalServerError)
 		return
 	}
-	writeJSON(w, http.StatusOK, spmvResponse{Y: y})
+	s.writeJSON(w, http.StatusOK, spmvResponse{Y: y})
 }
 
 // multiply computes y = A·x in the ORIGINAL index space against the cached
@@ -790,7 +829,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if st.Draining {
 		st.Status = "draining"
 	}
-	writeJSON(w, http.StatusOK, st)
+	s.writeJSON(w, http.StatusOK, st)
 }
 
 // handleReadyz is load acceptance: 503 while draining, while warm-restart
@@ -815,8 +854,8 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		st.Status = "overloaded"
 	default:
 		st.Status = "ready"
-		writeJSON(w, http.StatusOK, st)
+		s.writeJSON(w, http.StatusOK, st)
 		return
 	}
-	writeJSON(w, http.StatusServiceUnavailable, st)
+	s.writeJSON(w, http.StatusServiceUnavailable, st)
 }

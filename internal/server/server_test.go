@@ -232,7 +232,7 @@ func TestRectangularServed(t *testing.T) {
 			coo.Append(i, (i*7+k*11)%40, rng.NormFloat64())
 		}
 	}
-	a, err := coo.ToCSR()
+	a, err := coo.ToCSRWorkers(1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,7 +53,7 @@ func TestCGJacobiConvergesFasterOnSkewedDiagonal(t *testing.T) {
 			coo.Val[k] *= 1000
 		}
 	}
-	a, err := coo.ToCSR()
+	a, err := coo.ToCSRWorkers(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestSolveReorderedMatchesDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pa, err := sparse.PermuteSymmetric(a, perm)
+	pa, err := sparse.PermuteSymmetricWorkers(a, perm, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestCGRejectsBadInput(t *testing.T) {
 	}
 	coo := sparse.NewCOO(2, 3, 1)
 	coo.Append(0, 0, 1)
-	rect, _ := coo.ToCSR()
+	rect, _ := coo.ToCSRWorkers(1)
 	if _, err := CG(rect, make([]float64, 2), Options{}); err == nil {
 		t.Error("accepted rectangular matrix")
 	}
@@ -170,7 +170,7 @@ func TestCGRejectsIndefinite(t *testing.T) {
 	coo.Append(0, 1, 5)
 	coo.Append(1, 0, 5)
 	coo.Append(1, 1, 1)
-	a, _ := coo.ToCSR()
+	a, _ := coo.ToCSRWorkers(1)
 	// b = [1, -1] lies in the negative eigenspace (eigenvalue 1-5 = -4),
 	// so the very first pᵀAp is negative.
 	if _, err := CG(a, []float64{1, -1}, Options{MaxIter: 100}); err == nil {
@@ -182,7 +182,7 @@ func TestCGJacobiRequiresDiagonal(t *testing.T) {
 	coo := sparse.NewCOO(2, 2, 2)
 	coo.Append(0, 1, 1)
 	coo.Append(1, 0, 1)
-	a, _ := coo.ToCSR()
+	a, _ := coo.ToCSRWorkers(1)
 	if _, err := CG(a, []float64{1, 1}, Options{Jacobi: true}); err == nil {
 		t.Error("Jacobi accepted a matrix with missing diagonal")
 	}

@@ -20,7 +20,7 @@ import (
 // scattered per-row sequences reproduce the global input order exactly,
 // independent of the worker count. Sorting and duplicate-summing are pure
 // functions of those sequences, so the assembled CSR is byte-identical
-// for any worker count and identical to the serial (*COO).ToCSR path.
+// for any worker count.
 
 // cooSeg is one contiguous segment of a conceptual global triplet list.
 type cooSeg struct {
@@ -34,39 +34,42 @@ type cooSeg struct {
 // insertion sort to avoid sort.Sort's interface-call overhead; longer rows
 // fall back to it. The algorithm choice is a pure function of the input,
 // so every assembly path that feeds identical per-row sequences gets
-// identical output.
+// identical output, duplicates included.
 func sortColVal(cols []int32, vals []float64) {
-	if len(cols) <= 1 {
-		return
-	}
 	if len(cols) <= 24 {
-		for a := 1; a < len(cols); a++ {
-			c, v := cols[a], vals[a]
-			b := a
-			for b > 0 && cols[b-1] > c {
-				cols[b] = cols[b-1]
-				vals[b] = vals[b-1]
-				b--
-			}
-			cols[b] = c
-			vals[b] = v
-		}
+		insertionSortRow(cols, vals)
 		return
 	}
 	sort.Sort(&colValSort{cols, vals})
 }
 
-// ToCSRWorkers is ToCSR with the counting, scatter, sort and dedup stages
-// split across workers (see par.Resolve for the worker convention). The
-// result is byte-identical to ToCSR at every worker count.
+// insertionSortRow sorts a row's (column, value) pairs by column with a
+// stable insertion sort, shifting larger entries right into the hole.
+func insertionSortRow(cols []int32, vals []float64) {
+	vals = vals[:len(cols)]
+	for a := 1; a < len(cols); a++ {
+		c, v := cols[a], vals[a]
+		b := a
+		for b > 0 && cols[b-1] > c {
+			cols[b] = cols[b-1]
+			vals[b] = vals[b-1]
+			b--
+		}
+		cols[b] = c
+		vals[b] = v
+	}
+}
+
+// ToCSRWorkers converts the triplets to CSR format: entries are grouped by
+// row, sorted by column within each row, and duplicate coordinates are
+// summed in entry order. The counting, scatter, sort and dedup stages are
+// split across workers (see par.Resolve for the worker convention), and
+// the result is byte-identical at every worker count.
 func (c *COO) ToCSRWorkers(workers int) (*CSR, error) {
 	if len(c.Row) != len(c.Col) || len(c.Row) != len(c.Val) {
 		return nil, fmt.Errorf("sparse: COO slice length mismatch %d/%d/%d", len(c.Row), len(c.Col), len(c.Val))
 	}
 	w := par.Resolve(workers)
-	if w <= 1 {
-		return c.ToCSR()
-	}
 	// Split the triplet list into one contiguous segment per worker;
 	// assembleSegs re-derives the global order from segment order.
 	n := len(c.Row)
@@ -82,8 +85,7 @@ func (c *COO) ToCSRWorkers(workers int) (*CSR, error) {
 // assembleSegs assembles the concatenation of segs (in order) into CSR
 // form with workers-way parallelism. Entries are bounds-checked against
 // the dimensions, grouped by row, sorted by column within each row, and
-// duplicate coordinates are summed in global entry order — exactly the
-// semantics of (*COO).ToCSR.
+// duplicate coordinates are summed in global entry order.
 func assembleSegs(rows, cols int, segs []cooSeg, workers int) (*CSR, error) {
 	total := 0
 	for _, s := range segs {

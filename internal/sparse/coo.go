@@ -30,8 +30,8 @@ func NewCOO(rows, cols, nnz int) *COO {
 // outside the int32 range panics immediately rather than being narrowed
 // (a wrapped index could land back inside the matrix dimensions, where
 // Validate cannot tell it from a legitimate entry). Dimension bounds are
-// checked later by Validate/ToCSR; readers of untrusted input should
-// range-check before appending, as ReadMatrixMarket does.
+// checked later by Validate/ToCSRWorkers; readers of untrusted input
+// should range-check before appending, as the Matrix Market reader does.
 func (c *COO) Append(i, j int, v float64) {
 	if int(int32(i)) != i || int(int32(j)) != j {
 		panic(fmt.Sprintf("sparse: COO index (%d,%d) overflows int32", i, j))
@@ -57,57 +57,6 @@ func (c *COO) Validate() error {
 	return nil
 }
 
-// ToCSR converts the triplets to CSR format. Entries are grouped by row,
-// sorted by column within each row, and duplicate coordinates are summed.
-func (c *COO) ToCSR() (*CSR, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	// Bucket the triplets by row (counting sort), then sort each row by
-	// column and sum duplicate coordinates.
-	nnz := len(c.Val)
-	off := make([]int, c.Rows+1)
-	for _, i := range c.Row {
-		off[i+1]++
-	}
-	for i := 0; i < c.Rows; i++ {
-		off[i+1] += off[i]
-	}
-	cols := make([]int32, nnz)
-	vals := make([]float64, nnz)
-	next := make([]int, c.Rows)
-	copy(next, off[:c.Rows])
-	for k := 0; k < nnz; k++ {
-		i := c.Row[k]
-		p := next[i]
-		next[i]++
-		cols[p] = c.Col[k]
-		vals[p] = c.Val[k]
-	}
-	a := &CSR{
-		Rows:   c.Rows,
-		Cols:   c.Cols,
-		RowPtr: make([]int, c.Rows+1),
-		ColIdx: make([]int32, 0, nnz),
-		Val:    make([]float64, 0, nnz),
-	}
-	for i := 0; i < c.Rows; i++ {
-		lo, hi := off[i], off[i+1]
-		sortColVal(cols[lo:hi], vals[lo:hi])
-		rowStart := len(a.ColIdx)
-		for k := lo; k < hi; k++ {
-			if n := len(a.ColIdx); n > rowStart && cols[k] == a.ColIdx[n-1] {
-				a.Val[n-1] += vals[k]
-				continue
-			}
-			a.ColIdx = append(a.ColIdx, cols[k])
-			a.Val = append(a.Val, vals[k])
-		}
-		a.RowPtr[i+1] = len(a.ColIdx)
-	}
-	return a, nil
-}
-
 // FromCSR converts a CSR matrix back to coordinate format.
 func FromCSR(a *CSR) *COO {
 	c := NewCOO(a.Rows, a.Cols, a.NNZ())
@@ -117,24 +66,4 @@ func FromCSR(a *CSR) *COO {
 		}
 	}
 	return c
-}
-
-// ExpandSymmetric returns a COO in which, for every off-diagonal entry
-// (i, j), the mirrored entry (j, i) with the same value is also present.
-// This implements the paper's CSR conversion rule for matrices stored as
-// one triangle of a symmetric matrix.
-func (c *COO) ExpandSymmetric() *COO {
-	e := NewCOO(c.Rows, c.Cols, 2*len(c.Val))
-	for k := range c.Val {
-		i, j, v := c.Row[k], c.Col[k], c.Val[k]
-		e.Row = append(e.Row, i)
-		e.Col = append(e.Col, j)
-		e.Val = append(e.Val, v)
-		if i != j {
-			e.Row = append(e.Row, j)
-			e.Col = append(e.Col, i)
-			e.Val = append(e.Val, v)
-		}
-	}
-	return e
 }

@@ -26,7 +26,7 @@ func FuzzReadMatrixMarket(f *testing.F) {
 	f.Add("%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 1\ntrailing\n")
 
 	f.Fuzz(func(t *testing.T, input string) {
-		a, err := ReadMatrixMarket(strings.NewReader(input))
+		a, err := readMatrixMarketSerial(strings.NewReader(input))
 		ap, perr := ReadMatrixMarketWorkers(strings.NewReader(input), 3)
 		if (err == nil) != (perr == nil) {
 			t.Fatalf("accept/reject disagreement: serial err=%v, parallel err=%v", err, perr)
@@ -44,7 +44,7 @@ func FuzzReadMatrixMarket(f *testing.F) {
 		if werr := WriteMatrixMarket(&buf, a); werr != nil {
 			t.Fatalf("write failed on accepted matrix: %v", werr)
 		}
-		b, rerr := ReadMatrixMarket(&buf)
+		b, rerr := readMatrixMarketSerial(&buf)
 		if rerr != nil {
 			t.Fatalf("round trip read failed: %v", rerr)
 		}

@@ -13,26 +13,29 @@ import (
 	"sparseorder/internal/par"
 )
 
-// Parallel streaming Matrix Market ingestion: the post-header byte stream
-// is split into one chunk per worker, aligned to line boundaries; chunks
-// are parsed concurrently into per-worker COO shards by the
-// allocation-light scanner in mmscan.go (symmetric and skew-symmetric
-// expansion happens inline, preserving the serial expansion order); and
-// the shards are assembled into CSR by the parallel bucket-and-merge path
-// in assemble.go.
+// Streaming Matrix Market ingestion: the post-header byte stream is split
+// into one chunk per worker, aligned to line boundaries; chunks are parsed
+// concurrently into per-worker COO shards by the allocation-light scanner
+// in mmscan.go (symmetric and skew-symmetric expansion happens inline,
+// entry then mirror); and the shards are assembled into CSR by the
+// bucket-and-merge path in assemble.go. At one worker the same code runs
+// inline as a single chunk.
 //
 // Determinism contract: chunk boundaries depend only on the byte stream,
 // and chunks are contiguous, so the concatenated shard order equals the
 // file's entry order for every worker count. Assembly preserves that
 // order per row before its (pure-function) sort and duplicate-sum, so the
-// output is byte-identical to ReadMatrixMarket — the serial reference
-// reader — at any worker count. The two readers share every line-level
-// parse helper, so they also accept and reject exactly the same inputs.
+// output is byte-identical at any worker count.
 
-// ReadMatrixMarketWorkers parses a Matrix Market stream into CSR form
-// using the parallel ingestion pipeline. Output is byte-identical to
-// ReadMatrixMarket for every accepted stream and every worker count
-// (0 = GOMAXPROCS, following the par.Resolve convention).
+// ReadMatrixMarketWorkers parses a Matrix Market stream into CSR form.
+// Symmetric and skew-symmetric inputs are expanded to full storage
+// following the paper's conversion rule (both triangles stored
+// explicitly), and pattern matrices receive unit values. The grammar is
+// strict: size and entry lines must carry exactly the promised field
+// count, skew-symmetric inputs must not store diagonal entries, and any
+// non-comment content after the last entry is an error. Output is
+// byte-identical at every worker count (0 = GOMAXPROCS, following the
+// par.Resolve convention).
 func ReadMatrixMarketWorkers(r io.Reader, workers int) (*CSR, error) {
 	return ReadMatrixMarketCtx(context.Background(), r, workers)
 }
@@ -42,8 +45,8 @@ func ReadMatrixMarketWorkers(r io.Reader, workers int) (*CSR, error) {
 // COO→CSR merge) through any obs.Obs attached to the context. Without an
 // Obs it is exactly ReadMatrixMarketWorkers.
 func ReadMatrixMarketCtx(ctx context.Context, r io.Reader, workers int) (*CSR, error) {
-	// Same fault point as the serial reader, so chaos schedules cover
-	// both entry paths.
+	// Fault point for chaos testing of corpus loading; streams carry no
+	// stable identity, so the decision is keyed by the per-point hit count.
 	if err := faultinject.Check(faultinject.MatrixRead, ""); err != nil {
 		return nil, fmt.Errorf("sparse: reading matrix: %w", err)
 	}
@@ -152,10 +155,9 @@ func splitChunks(buf []byte, workers int) [][]byte {
 }
 
 // parseChunk scans one line-aligned chunk into a COO shard, expanding
-// symmetric/skew-symmetric entries inline in the serial reader's order
-// (entry, then mirror). It returns the number of file entries parsed —
-// pre-expansion, so the caller can check the total against the declared
-// nnz. Fields are parsed in place — no per-line strings, no
+// symmetric/skew-symmetric entries inline (entry, then mirror). It returns
+// the number of file entries parsed — pre-expansion, so the caller can
+// check the total against the declared nnz. Fields are parsed in place — no per-line strings, no
 // strings.Fields slices.
 func parseChunk(idx int, chunk []byte, h MMHeader, rows, cols int) (cooSeg, int, error) {
 	// Per-chunk fault point for chaos testing of the ingestion pipeline;
@@ -190,8 +192,8 @@ func parseChunk(idx int, chunk []byte, h MMHeader, rows, cols int) (cooSeg, int,
 		i, j, v, ok := parseEntryFast(line, pattern, skew, rows, cols)
 		if !ok {
 			// Anything unusual — comments, blanks, exotic spellings,
-			// malformed lines — goes through the reference grammar, which
-			// classifies it exactly like the serial reader would.
+			// malformed lines — goes through the full grammar in
+			// mmscan.go, which classifies it exactly.
 			t := trimMMSpace(line)
 			if isCommentOrBlank(t) {
 				continue

@@ -22,17 +22,28 @@ func benchMM(rows, cols, nnz int) []byte {
 
 var benchSink *CSR
 
-func BenchmarkIngestSerial(b *testing.B) {
+// BenchmarkIngestSinglePath compares the reader at one worker with the
+// line-at-a-time oracle it replaced; the one path must not be slower.
+func BenchmarkIngestSinglePath(b *testing.B) {
 	data := benchMM(100000, 100000, 1200000)
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a, err := ReadMatrixMarket(bytes.NewReader(data))
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchSink = a
+	for _, c := range []struct {
+		name string
+		read func() (*CSR, error)
+	}{
+		{"oracle", func() (*CSR, error) { return readMatrixMarketSerial(bytes.NewReader(data)) }},
+		{"workers=1", func() (*CSR, error) { return ReadMatrixMarketWorkers(bytes.NewReader(data), 1) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				a, err := c.read()
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink = a
+			}
+		})
 	}
 }
 

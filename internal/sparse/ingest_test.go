@@ -45,11 +45,11 @@ var edgeCorpus = []struct {
 // non-NaN values).
 func TestIngestMatchesSerialEdgeCorpus(t *testing.T) {
 	for _, tc := range edgeCorpus {
-		want, err := ReadMatrixMarket(strings.NewReader(tc.mm))
+		want, err := readMatrixMarketSerial(strings.NewReader(tc.mm))
 		if err != nil {
 			t.Fatalf("%s: serial reader rejected corpus entry: %v", tc.name, err)
 		}
-		for _, workers := range []int{1, 2, 4, 7} {
+		for _, workers := range []int{1, 2, 4, 7, 0} {
 			got, err := ReadMatrixMarketWorkers(strings.NewReader(tc.mm), workers)
 			if err != nil {
 				t.Fatalf("%s: workers=%d: %v", tc.name, workers, err)
@@ -66,7 +66,7 @@ func TestIngestMatchesSerialEdgeCorpus(t *testing.T) {
 // reproduces it exactly.
 func TestIngestRoundTripEdgeCorpus(t *testing.T) {
 	for _, tc := range edgeCorpus {
-		a, err := ReadMatrixMarket(strings.NewReader(tc.mm))
+		a, err := readMatrixMarketSerial(strings.NewReader(tc.mm))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +75,7 @@ func TestIngestRoundTripEdgeCorpus(t *testing.T) {
 			t.Fatal(err)
 		}
 		text := buf.String()
-		b, err := ReadMatrixMarket(strings.NewReader(text))
+		b, err := readMatrixMarketSerial(strings.NewReader(text))
 		if err != nil {
 			t.Fatalf("%s: serial re-read: %v", tc.name, err)
 		}
@@ -110,11 +110,11 @@ func randomMM(rng *rand.Rand, rows, cols, nnz int) string {
 func TestIngestDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	text := randomMM(rng, 200, 150, 3000)
-	want, err := ReadMatrixMarket(strings.NewReader(text))
+	want, err := readMatrixMarketSerial(strings.NewReader(text))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2, 4, 7} {
+	for _, workers := range []int{1, 2, 4, 7, 0} {
 		got, err := ReadMatrixMarketWorkers(strings.NewReader(text), workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -135,17 +135,17 @@ func TestToCSRWorkersMatchesSerial(t *testing.T) {
 		for k := 0; k < rng.Intn(500); k++ {
 			coo.Append(rng.Intn(rows), rng.Intn(cols), rng.NormFloat64())
 		}
-		want, err := coo.ToCSR()
+		want, err := toCSRSerial(coo)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{1, 2, 4, 7} {
+		for _, workers := range []int{1, 2, 4, 7, 0} {
 			got, err := coo.ToCSRWorkers(workers)
 			if err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)
 			}
 			if !reflect.DeepEqual(want, got) {
-				t.Errorf("trial %d workers=%d diverged from ToCSR", trial, workers)
+				t.Errorf("trial %d workers=%d diverged from the serial oracle", trial, workers)
 			}
 		}
 	}
@@ -181,7 +181,7 @@ func TestReadersRejectMalformedInputs(t *testing.T) {
 		{"negative_nnz", "%%MatrixMarket matrix coordinate real general\n2 2 -1\n"},
 	}
 	for _, tc := range cases {
-		if _, err := ReadMatrixMarket(strings.NewReader(tc.mm)); err == nil {
+		if _, err := readMatrixMarketSerial(strings.NewReader(tc.mm)); err == nil {
 			t.Errorf("%s: serial reader accepted malformed input", tc.name)
 		}
 		if _, err := ReadMatrixMarketWorkers(strings.NewReader(tc.mm), 3); err == nil {

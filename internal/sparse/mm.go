@@ -6,19 +6,14 @@ import (
 	"io"
 	"math"
 	"strings"
-
-	"sparseorder/internal/faultinject"
 )
 
 // Matrix Market exchange format support (coordinate real/integer/pattern,
 // general/symmetric/skew-symmetric). This mirrors the format used by the
 // SuiteSparse collection that the paper's dataset is drawn from.
-//
-// Two readers share one grammar: ReadMatrixMarket is the serial,
-// line-at-a-time reference implementation, and ReadMatrixMarketWorkers
-// (ingest.go) is the chunked parallel pipeline whose output is
-// byte-identical to it at every worker count. Both parse each line through
-// the helpers in mmscan.go, so they accept and reject the same inputs.
+// The reader is the chunked pipeline in ingest.go; this file holds the
+// banner and size-line parsing it shares with ReadPermutation, and the
+// writers.
 
 // MMHeader describes the banner line of a Matrix Market file.
 type MMHeader struct {
@@ -75,83 +70,6 @@ func readMMSizeLine(br *bufio.Reader) (rows, cols, nnz int, err error) {
 	}
 }
 
-// ReadMatrixMarket parses a Matrix Market stream into CSR form. Symmetric
-// and skew-symmetric inputs are expanded to full storage following the
-// paper's conversion rule (both triangles stored explicitly). Pattern
-// matrices receive unit values.
-//
-// This is the serial reference reader; ReadMatrixMarketWorkers parses the
-// same grammar in parallel with byte-identical output. The grammar is
-// strict: size and entry lines must carry exactly the promised field
-// count, skew-symmetric inputs must not store diagonal entries, and any
-// non-comment content after the last entry is an error.
-func ReadMatrixMarket(r io.Reader) (*CSR, error) {
-	// Fault point for chaos testing of corpus loading; streams carry no
-	// stable identity, so the decision is keyed by the per-point hit count.
-	if err := faultinject.Check(faultinject.MatrixRead, ""); err != nil {
-		return nil, fmt.Errorf("sparse: reading matrix: %w", err)
-	}
-	br := bufio.NewReaderSize(r, 1<<20)
-	h, err := readMMBanner(br)
-	if err != nil {
-		return nil, err
-	}
-	rows, cols, nnz, err := readMMSizeLine(br)
-	if err != nil {
-		return nil, err
-	}
-
-	coo := NewCOO(rows, cols, nnz)
-	read := 0
-	for read < nnz {
-		line, err := br.ReadString('\n')
-		if err != nil && line == "" {
-			return nil, fmt.Errorf("sparse: after %d of %d entries: %w", read, nnz, err)
-		}
-		t := trimMMSpace([]byte(line))
-		if isCommentOrBlank(t) {
-			continue
-		}
-		i, j, v, err := parseEntryLine(t, h, rows, cols)
-		if err != nil {
-			return nil, fmt.Errorf("sparse: entry %d: %w", read+1, err)
-		}
-		coo.Append(i, j, v)
-		read++
-	}
-	// The historical reader stopped here and silently ignored whatever
-	// followed the last entry. A well-formed file holds exactly nnz
-	// entries, so trailing non-comment content is a corruption signal
-	// (a truncated size line, a concatenated file) and fails loudly.
-	for {
-		line, err := br.ReadString('\n')
-		if err != nil && line == "" {
-			break
-		}
-		if t := trimMMSpace([]byte(line)); !isCommentOrBlank(t) {
-			return nil, fmt.Errorf("sparse: content after the declared %d entries: %q", nnz, t)
-		}
-	}
-
-	switch h.Symmetry {
-	case "symmetric":
-		coo = coo.ExpandSymmetric()
-	case "skew-symmetric":
-		e := NewCOO(rows, cols, 2*coo.NNZ())
-		for k := range coo.Val {
-			i, j, v := coo.Row[k], coo.Col[k], coo.Val[k]
-			e.Row = append(e.Row, i)
-			e.Col = append(e.Col, j)
-			e.Val = append(e.Val, v)
-			e.Row = append(e.Row, j)
-			e.Col = append(e.Col, i)
-			e.Val = append(e.Val, -v)
-		}
-		coo = e
-	}
-	return coo.ToCSR()
-}
-
 // WriteMatrixMarket writes a in coordinate real general format with
 // 1-based indices.
 func WriteMatrixMarket(w io.Writer, a *CSR) error {
@@ -186,7 +104,7 @@ func WritePermutation(w io.Writer, p Perm) error {
 }
 
 // ReadPermutation parses a permutation written by WritePermutation. The
-// size line is validated the same way ReadMatrixMarket validates its own:
+// size line is validated the same way the matrix reader validates its own:
 // exactly two integer fields (trailing tokens are rejected), and the
 // length is capped at the int32 index range so a corrupt artifact fails
 // loudly instead of allocating whatever its header claims.

@@ -145,7 +145,7 @@ func TestIngestParsesExoticSpellings(t *testing.T) {
 		"2 2 12345678901234567890123456789\n" +
 		"3 3 1e-320\n" +
 		"1 2 9007199254740993\n"
-	want, err := ReadMatrixMarket(strings.NewReader(mm))
+	want, err := readMatrixMarketSerial(strings.NewReader(mm))
 	if err != nil {
 		t.Fatal(err)
 	}

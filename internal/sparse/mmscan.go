@@ -6,12 +6,11 @@ import (
 	"strconv"
 )
 
-// Allocation-light field scanning shared by the serial Matrix Market
-// reader (mm.go) and the parallel ingestion pipeline (ingest.go). Both
-// paths parse every line through the helpers here, so they accept and
-// reject exactly the same inputs; the differential fuzz target
-// (FuzzReadMatrixMarket) then only has to distinguish chunking and
-// assembly bugs, not tokenizer drift.
+// Allocation-light field scanning for the Matrix Market ingestion
+// pipeline (ingest.go) and the header parsing in mm.go. The line-at-a-time
+// reference reader kept in the tests parses every line through the same
+// helpers, so the differential fuzz target (FuzzReadMatrixMarket) only has
+// to distinguish chunking and assembly bugs, not tokenizer drift.
 //
 // The scanner is deliberately stricter than the historical
 // fmt.Sscanf/strings.Fields loop: size and entry lines must carry exactly
@@ -21,9 +20,9 @@ import (
 
 // isMMSpace reports whether c separates fields on a Matrix Market line.
 // The set is the ASCII blanks strings.Fields splits on (the newline is
-// included so serial callers can hand over ReadString output unstripped);
-// multi-byte Unicode spaces are not separators, so a field containing one
-// fails numeric parsing instead of being silently split.
+// included so line-at-a-time callers can hand over ReadString output
+// unstripped); multi-byte Unicode spaces are not separators, so a field
+// containing one fails numeric parsing instead of being silently split.
 func isMMSpace(c byte) bool {
 	return c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\v' || c == '\f'
 }

@@ -56,25 +56,25 @@ func TestPermuteRejectsInvalidPerm(t *testing.T) {
 	coo.Append(0, 0, 1)
 	coo.Append(1, 1, 2)
 	coo.Append(2, 2, 3)
-	a, err := coo.ToCSR()
+	a, err := coo.ToCSRWorkers(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bad := Perm{0, 0, 2}
 	var pe *PermError
-	if _, err := PermuteSymmetric(a, bad); !errors.As(err, &pe) {
-		t.Errorf("PermuteSymmetric: err = %v, want *PermError", err)
+	if _, err := PermuteSymmetricWorkers(a, bad, 1); !errors.As(err, &pe) {
+		t.Errorf("PermuteSymmetricWorkers(1): err = %v, want *PermError", err)
 	}
-	if _, err := PermuteRows(a, bad); !errors.As(err, &pe) {
-		t.Errorf("PermuteRows: err = %v, want *PermError", err)
+	if _, err := PermuteRowsWorkers(a, bad, 1); !errors.As(err, &pe) {
+		t.Errorf("PermuteRowsWorkers(1): err = %v, want *PermError", err)
 	}
 	if _, err := PermuteCols(a, bad); !errors.As(err, &pe) {
 		t.Errorf("PermuteCols: err = %v, want *PermError", err)
 	}
 	if _, err := PermuteSymmetricWorkers(a, bad, 2); !errors.As(err, &pe) {
-		t.Errorf("PermuteSymmetricWorkers: err = %v, want *PermError", err)
+		t.Errorf("PermuteSymmetricWorkers(2): err = %v, want *PermError", err)
 	}
 	if _, err := PermuteRowsWorkers(a, bad, 2); !errors.As(err, &pe) {
-		t.Errorf("PermuteRowsWorkers: err = %v, want *PermError", err)
+		t.Errorf("PermuteRowsWorkers(2): err = %v, want *PermError", err)
 	}
 }

@@ -7,77 +7,94 @@ import (
 	"sparseorder/internal/par"
 )
 
-// Worker-count convention shared by the parallel variants in this package
+// Worker-count convention shared by the row-range kernels in this package
 // (and mirrored by internal/graph, internal/metrics and internal/reorder):
-// 0 means GOMAXPROCS, 1 runs the exact serial code path, and any positive
-// count bounds the goroutines used. All variants produce output
-// byte-identical to their serial counterpart at every worker count: the
-// RowPtr prefix sum fixes each output row's offset up front, so row ranges
-// are filled independently, and within-row sorting is by unique column
-// indices whose sorted order does not depend on the sorting algorithm.
+// 0 means GOMAXPROCS, 1 runs the same code inline on the calling
+// goroutine, and any positive count bounds the goroutines used. Each job
+// has one implementation, and its output is byte-identical at every worker
+// count: the RowPtr prefix sum fixes each output row's offset up front, so
+// row ranges are filled independently, and within-row sorting is by unique
+// column indices whose sorted order does not depend on the sorting
+// algorithm.
 
-// PermuteSymmetricWorkers is PermuteSymmetric computed with a row-range-
-// parallel count/scatter/sort pipeline over the given worker count.
+// PermuteSymmetricWorkers returns P·A·Pᵀ, the matrix with rows and columns
+// simultaneously reordered by p (new-to-old), computed by a row-range
+// count/scatter/sort pipeline over the given worker count. All orderings
+// in the study except Gray are symmetric permutations.
 func PermuteSymmetricWorkers(a *CSR, p Perm, workers int) (*CSR, error) {
-	if par.Resolve(workers) == 1 {
-		return PermuteSymmetric(a, p)
-	}
 	if a.Rows != a.Cols {
 		return nil, errNonSquareSym(a)
 	}
-	if err := checkPerm(p, a.Rows, ""); err != nil {
+	if len(p) != a.Rows {
+		return nil, errPermLen(p, a.Rows, "")
+	}
+	// The int32 inverse halves the footprint of the scatter's random
+	// column lookups compared with an []int one.
+	inv, err := p.inverse32()
+	if err != nil {
 		return nil, err
 	}
-	w := par.Resolve(workers)
-	inv := p.Inverse()
-	b := &CSR{
-		Rows:   a.Rows,
-		Cols:   a.Cols,
-		RowPtr: make([]int, a.Rows+1),
-		ColIdx: make([]int32, a.NNZ()),
-		Val:    make([]float64, a.NNZ()),
-	}
-	// Count in parallel, prefix-sum serially (O(rows)), scatter and sort
-	// each row range in parallel.
-	par.Ranges(a.Rows, w, func(_, lo, hi int) {
+	b := permuteRowPtr(a, p, par.Resolve(workers))
+	par.Ranges(a.Rows, par.Resolve(workers), func(_, lo, hi int) {
+		rowPtr, colIdx, val := b.RowPtr, b.ColIdx, b.Val
+		aPtr, aCol, aVal := a.RowPtr, a.ColIdx, a.Val
+		// Scatter the whole range before sorting any row: the scatter's
+		// random inverse lookups have no data-dependent branches, so the
+		// CPU overlaps their cache misses across rows, which sorting each
+		// row as soon as it is written would serialise.
 		for newI := lo; newI < hi; newI++ {
-			b.RowPtr[newI+1] = a.RowNNZ(p[newI])
+			dst, end := rowPtr[newI], rowPtr[newI+1]
+			src := aPtr[p[newI]]
+			cols, vals := colIdx[dst:end], val[dst:end]
+			srcVals := aVal[src : src+len(vals)]
+			for k, c := range aCol[src : src+len(cols)] {
+				cols[k] = inv[c]
+				vals[k] = srcVals[k]
+			}
 		}
-	})
-	for newI := 0; newI < a.Rows; newI++ {
-		b.RowPtr[newI+1] += b.RowPtr[newI]
-	}
-	par.Ranges(a.Rows, w, func(_, lo, hi int) {
 		ls := longRowSorter{n: a.Cols}
 		for newI := lo; newI < hi; newI++ {
-			oldI := p[newI]
-			dst := b.RowPtr[newI]
-			for k := a.RowPtr[oldI]; k < a.RowPtr[oldI+1]; k++ {
-				b.ColIdx[dst] = int32(inv[a.ColIdx[k]])
-				b.Val[dst] = a.Val[k]
-				dst++
-			}
-			cols, vals := b.ColIdx[b.RowPtr[newI]:dst], b.Val[b.RowPtr[newI]:dst]
+			cols, vals := colIdx[rowPtr[newI]:rowPtr[newI+1]], val[rowPtr[newI]:rowPtr[newI+1]]
 			if len(cols) > longRowCutoff {
 				ls.sort(cols, vals)
 			} else {
-				sortRow(cols, vals)
+				insertionSortRow(cols, vals)
 			}
 		}
 	})
 	return b, nil
 }
 
-// PermuteRowsWorkers is PermuteRows computed with row-range-parallel count
-// and copy passes over the given worker count.
+// PermuteRowsWorkers returns P·A, the matrix with only its rows reordered
+// by p (new-to-old), computed with row-range count and copy passes over
+// the given worker count; columns are left in place. The Gray ordering is
+// applied this way because it does not preserve symmetry.
 func PermuteRowsWorkers(a *CSR, p Perm, workers int) (*CSR, error) {
-	if par.Resolve(workers) == 1 {
-		return PermuteRows(a, p)
+	if len(p) != a.Rows {
+		return nil, errPermLen(p, a.Rows, " rows")
 	}
-	if err := checkPerm(p, a.Rows, " rows"); err != nil {
+	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	w := par.Resolve(workers)
+	b := permuteRowPtr(a, p, par.Resolve(workers))
+	par.Ranges(a.Rows, par.Resolve(workers), func(_, lo, hi int) {
+		rowPtr, colIdx, val := b.RowPtr, b.ColIdx, b.Val
+		aPtr := a.RowPtr
+		for newI := lo; newI < hi; newI++ {
+			dst, end := rowPtr[newI], rowPtr[newI+1]
+			src := aPtr[p[newI]]
+			copy(colIdx[dst:end], a.ColIdx[src:])
+			copy(val[dst:end], a.Val[src:])
+		}
+	})
+	return b, nil
+}
+
+// permuteRowPtr allocates the result of permuting a's rows by p and fills
+// its RowPtr: row lengths counted over row ranges, then one O(rows)
+// prefix sum, which fixes every output row's offset before any row is
+// written.
+func permuteRowPtr(a *CSR, p Perm, w int) *CSR {
 	b := &CSR{
 		Rows:   a.Rows,
 		Cols:   a.Cols,
@@ -86,39 +103,28 @@ func PermuteRowsWorkers(a *CSR, p Perm, workers int) (*CSR, error) {
 		Val:    make([]float64, a.NNZ()),
 	}
 	par.Ranges(a.Rows, w, func(_, lo, hi int) {
+		rowPtr, aPtr := b.RowPtr, a.RowPtr
 		for newI := lo; newI < hi; newI++ {
-			b.RowPtr[newI+1] = a.RowNNZ(p[newI])
+			old := p[newI]
+			rowPtr[newI+1] = aPtr[old+1] - aPtr[old]
 		}
 	})
 	for newI := 0; newI < a.Rows; newI++ {
 		b.RowPtr[newI+1] += b.RowPtr[newI]
 	}
-	par.Ranges(a.Rows, w, func(_, lo, hi int) {
-		for newI := lo; newI < hi; newI++ {
-			oldI := p[newI]
-			dst := b.RowPtr[newI]
-			copy(b.ColIdx[dst:b.RowPtr[newI+1]], a.ColIdx[a.RowPtr[oldI]:a.RowPtr[oldI+1]])
-			copy(b.Val[dst:b.RowPtr[newI+1]], a.Val[a.RowPtr[oldI]:a.RowPtr[oldI+1]])
-		}
-	})
-	return b, nil
+	return b
 }
 
-// SortRowsWorkers sorts every row's columns (and aligned values) in
-// ascending order like SortRows, splitting the rows across workers. Rows
-// with duplicate column indices (invalid CSR, which SortRows exists to
-// repair en route to deduplication) sort their duplicates in
-// insertion-stable order at workers > 1; SortRows makes no ordering
-// promise for duplicates either.
+// SortRowsWorkers sorts the column indices (and the corresponding values)
+// within every row in ascending order, splitting the rows across workers.
+// Construction functions in this package always produce sorted rows;
+// SortRowsWorkers repairs externally built matrices.
 func (a *CSR) SortRowsWorkers(workers int) {
-	if par.Resolve(workers) == 1 {
-		a.SortRows()
-		return
-	}
 	par.Ranges(a.Rows, par.Resolve(workers), func(_, lo, hi int) {
+		rowPtr, colIdx, val := a.RowPtr, a.ColIdx, a.Val
 		for i := lo; i < hi; i++ {
-			l, h := a.RowPtr[i], a.RowPtr[i+1]
-			sortRow(a.ColIdx[l:h], a.Val[l:h])
+			l, h := rowPtr[i], rowPtr[i+1]
+			sortColVal(colIdx[l:h], val[l:h])
 		}
 	})
 }
@@ -127,21 +133,15 @@ func errNonSquareSym(a *CSR) error {
 	return fmt.Errorf("sparse: symmetric permutation of non-square %dx%d matrix", a.Rows, a.Cols)
 }
 
-// checkPerm validates a permutation the same way the serial entry points
-// do, with matching error text.
-func checkPerm(p Perm, n int, suffix string) error {
-	if len(p) != n {
-		return fmt.Errorf("sparse: permutation length %d, want %d%s", len(p), n, suffix)
-	}
-	return p.Validate()
-}
-
-func sortLongRow(cols []int32, vals []float64) {
-	sort.Sort(&colValSort{cols, vals})
+// errPermLen reports a permutation whose length does not match n; the
+// suffix names what n counts.
+func errPermLen(p Perm, n int, suffix string) error {
+	return fmt.Errorf("sparse: permutation length %d, want %d%s", len(p), n, suffix)
 }
 
 // longRowCutoff is the row length above which insertion sort loses to the
-// alternatives; rows this long go to longRowSorter or sortLongRow.
+// alternatives; PermuteSymmetricWorkers hands rows this long to
+// longRowSorter.
 const longRowCutoff = 48
 
 // longRowSorter counting-sorts long rows with unique column indices (the
@@ -150,7 +150,7 @@ const longRowCutoff = 48
 // then collected by an ascending scan of the row's column span. The scan
 // is sequential memory traffic, so for rows that occupy a decent fraction
 // of their span it is far cheaper than a comparison sort; sparse long
-// rows (span > ~16 slots per nonzero) fall back to sortLongRow. The
+// rows (span > ~16 slots per nonzero) fall back to a comparison sort. The
 // output — unique columns ascending — is what every sort produces, so
 // this changes nothing but time. Not safe for rows with duplicate
 // columns, which would collapse to one slot.
@@ -172,7 +172,7 @@ func (s *longRowSorter) sort(cols []int32, vals []float64) {
 		}
 	}
 	if span := int(maxC-minC) + 1; span > 16*len(cols) {
-		sortLongRow(cols, vals)
+		sort.Sort(&colValSort{cols, vals})
 		return
 	}
 	if s.stamp == nil {
@@ -192,24 +192,5 @@ func (s *longRowSorter) sort(cols []int32, vals []float64) {
 			vals[k] = s.val[c]
 			k++
 		}
-	}
-}
-
-// sortRow sorts one row's (column, value) pairs by column. Sparse rows are
-// short, so insertion sort beats the interface-based sort.Sort for the
-// common case; long rows fall back to colValSort.
-func sortRow(cols []int32, vals []float64) {
-	if len(cols) > 48 {
-		sortLongRow(cols, vals)
-		return
-	}
-	for i := 1; i < len(cols); i++ {
-		c, v := cols[i], vals[i]
-		j := i - 1
-		for j >= 0 && cols[j] > c {
-			cols[j+1], vals[j+1] = cols[j], vals[j]
-			j--
-		}
-		cols[j+1], vals[j+1] = c, v
 	}
 }

@@ -7,10 +7,10 @@ import (
 )
 
 // workerCounts are the counts the determinism contract is tested at:
-// serial, small parallel, the benchmark's 4, GOMAXPROCS and the two
+// inline, small parallel, the benchmark's 4, an odd 7, GOMAXPROCS and the two
 // "resolve to a default" inputs.
 func workerCounts() []int {
-	return []int{1, 2, 3, 4, runtime.GOMAXPROCS(0), 0, -1}
+	return []int{1, 2, 3, 4, 7, runtime.GOMAXPROCS(0), 0, -1}
 }
 
 func randomPerm(rng *rand.Rand, n int) Perm {
@@ -24,7 +24,7 @@ func TestPermuteSymmetricWorkersMatchesSerial(t *testing.T) {
 	for _, n := range []int{1, 2, 17, 97, 256} {
 		a := randomCSR(rng, n, n, 6*n)
 		p := randomPerm(rng, n)
-		want, err := PermuteSymmetric(a, p)
+		want, err := permuteSymmetricSerial(a, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,12 +57,12 @@ func TestPermuteSymmetricWorkersDenseRows(t *testing.T) {
 	for j := 0; j < 60; j++ { // long sparse row 9: span ~n >> 16*60, fallback
 		coo.Append(9, rng.Intn(n), float64(j))
 	}
-	a, err := coo.ToCSR()
+	a, err := coo.ToCSRWorkers(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := randomPerm(rng, n)
-	want, err := PermuteSymmetric(a, p)
+	want, err := permuteSymmetricSerial(a, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestPermuteRowsWorkersMatchesSerial(t *testing.T) {
 	// Rectangular on purpose: PermuteRows permutes rows only.
 	a := randomCSR(rng, 120, 40, 700)
 	p := randomPerm(rng, 120)
-	want, err := PermuteRows(a, p)
+	want, err := permuteRowsSerial(a, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,11 +111,11 @@ func TestPermuteWorkersErrorsMatchSerial(t *testing.T) {
 		{"repeated entry", square, Perm{0, 1, 2, 3, 3}},
 	}
 	for _, c := range cases {
-		_, serialErr := PermuteSymmetric(c.a, c.p)
+		_, serialErr := permuteSymmetricSerial(c.a, c.p)
 		if serialErr == nil {
 			t.Fatalf("%s: serial accepted bad input", c.name)
 		}
-		for _, w := range []int{2, 4} {
+		for _, w := range []int{1, 2, 4, 7, 0} {
 			_, err := PermuteSymmetricWorkers(c.a, c.p, w)
 			if err == nil || err.Error() != serialErr.Error() {
 				t.Errorf("%s workers=%d: error %v, want %v", c.name, w, err, serialErr)
@@ -123,8 +123,8 @@ func TestPermuteWorkersErrorsMatchSerial(t *testing.T) {
 		}
 	}
 	// Rows variant: only the permutation is checked, against Rows.
-	_, serialErr := PermuteRows(square, Identity(3))
-	for _, w := range []int{2, 4} {
+	_, serialErr := permuteRowsSerial(square, Identity(3))
+	for _, w := range []int{1, 2, 4, 7, 0} {
 		_, err := PermuteRowsWorkers(square, Identity(3), w)
 		if err == nil || err.Error() != serialErr.Error() {
 			t.Errorf("rows workers=%d: error %v, want %v", w, err, serialErr)
@@ -158,7 +158,7 @@ func TestSortRowsWorkersMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	a := unsortedCSR(rng, 60, 200)
 	want := a.Clone()
-	want.SortRows()
+	sortRowsSerial(want)
 	for _, w := range workerCounts() {
 		got := a.Clone()
 		got.SortRowsWorkers(w)

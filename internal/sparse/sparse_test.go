@@ -22,7 +22,7 @@ func small(t *testing.T) *CSR {
 	coo.Append(1, 1, 3)
 	coo.Append(2, 0, 4)
 	coo.Append(2, 2, 5)
-	a, err := coo.ToCSR()
+	a, err := coo.ToCSRWorkers(1)
 	if err != nil {
 		t.Fatalf("ToCSR: %v", err)
 	}
@@ -34,7 +34,7 @@ func randomCSR(rng *rand.Rand, rows, cols, nnz int) *CSR {
 	for k := 0; k < nnz; k++ {
 		coo.Append(rng.Intn(rows), rng.Intn(cols), rng.NormFloat64())
 	}
-	a, err := coo.ToCSR()
+	a, err := coo.ToCSRWorkers(1)
 	if err != nil {
 		panic(err)
 	}
@@ -69,7 +69,7 @@ func TestToCSRSumsDuplicates(t *testing.T) {
 	coo.Append(0, 1, 2)
 	coo.Append(1, 0, 5)
 	coo.Append(0, 1, 3)
-	a, err := coo.ToCSR()
+	a, err := coo.ToCSRWorkers(1)
 	if err != nil {
 		t.Fatalf("ToCSR: %v", err)
 	}
@@ -85,7 +85,7 @@ func TestToCSRSumsDuplicates(t *testing.T) {
 func TestToCSRRejectsOutOfRange(t *testing.T) {
 	coo := NewCOO(2, 2, 1)
 	coo.Append(0, 5, 1)
-	if _, err := coo.ToCSR(); err == nil {
+	if _, err := coo.ToCSRWorkers(1); err == nil {
 		t.Fatal("ToCSR accepted out-of-range column")
 	}
 }
@@ -209,14 +209,14 @@ func TestPermuteSymmetricRoundTrip(t *testing.T) {
 		n := 1 + rng.Intn(30)
 		a := randomCSR(rng, n, n, rng.Intn(200))
 		p := Perm(rng.Perm(n))
-		b, err := PermuteSymmetric(a, p)
+		b, err := PermuteSymmetricWorkers(a, p, 1)
 		if err != nil {
 			t.Fatalf("PermuteSymmetric: %v", err)
 		}
 		if err := b.Validate(); err != nil {
 			t.Fatalf("permuted invalid: %v", err)
 		}
-		back, err := PermuteSymmetric(b, p.Inverse())
+		back, err := PermuteSymmetricWorkers(b, p.Inverse(), 1)
 		if err != nil {
 			t.Fatalf("inverse permute: %v", err)
 		}
@@ -230,7 +230,7 @@ func TestPermuteSymmetricKnown(t *testing.T) {
 	a := small(t)
 	// Reverse ordering: new row 0 = old row 2, etc.
 	p := Perm{2, 1, 0}
-	b, err := PermuteSymmetric(a, p)
+	b, err := PermuteSymmetricWorkers(a, p, 1)
 	if err != nil {
 		t.Fatalf("PermuteSymmetric: %v", err)
 	}
@@ -244,7 +244,7 @@ func TestPermuteSymmetricKnown(t *testing.T) {
 func TestPermuteRowsKnown(t *testing.T) {
 	a := small(t)
 	p := Perm{1, 2, 0}
-	b, err := PermuteRows(a, p)
+	b, err := PermuteRowsWorkers(a, p, 1)
 	if err != nil {
 		t.Fatalf("PermuteRows: %v", err)
 	}
@@ -262,7 +262,7 @@ func TestPermuteColsInverseOfRowsOnTranspose(t *testing.T) {
 	if err != nil {
 		t.Fatalf("PermuteCols: %v", err)
 	}
-	rowsOfT, err := PermuteRows(a.Transpose(), p)
+	rowsOfT, err := PermuteRowsWorkers(a.Transpose(), p, 1)
 	if err != nil {
 		t.Fatalf("PermuteRows: %v", err)
 	}
@@ -273,24 +273,24 @@ func TestPermuteColsInverseOfRowsOnTranspose(t *testing.T) {
 
 func TestPermuteRejectsInvalid(t *testing.T) {
 	a := small(t)
-	if _, err := PermuteSymmetric(a, Perm{0, 0, 1}); err == nil {
+	if _, err := PermuteSymmetricWorkers(a, Perm{0, 0, 1}, 1); err == nil {
 		t.Error("accepted non-bijective permutation")
 	}
-	if _, err := PermuteSymmetric(a, Perm{0, 1}); err == nil {
+	if _, err := PermuteSymmetricWorkers(a, Perm{0, 1}, 1); err == nil {
 		t.Error("accepted wrong-length permutation")
 	}
-	if _, err := PermuteRows(a, Perm{0, 1}); err == nil {
+	if _, err := PermuteRowsWorkers(a, Perm{0, 1}, 1); err == nil {
 		t.Error("PermuteRows accepted wrong-length permutation")
 	}
 }
 
+// TestExpandSymmetric checks the reader's symmetric expansion: an
+// off-diagonal entry gains its mirror, a diagonal entry is not doubled.
 func TestExpandSymmetric(t *testing.T) {
-	coo := NewCOO(3, 3, 2)
-	coo.Append(1, 0, 7)
-	coo.Append(2, 2, 1)
-	a, err := coo.ExpandSymmetric().ToCSR()
+	in := "%%MatrixMarket matrix coordinate real symmetric\n3 3 2\n2 1 7\n3 3 1\n"
+	a, err := ReadMatrixMarketWorkers(strings.NewReader(in), 1)
 	if err != nil {
-		t.Fatalf("ToCSR: %v", err)
+		t.Fatalf("read: %v", err)
 	}
 	if a.NNZ() != 3 {
 		t.Fatalf("NNZ = %d, want 3 (mirror added, diagonal not doubled)", a.NNZ())
@@ -307,7 +307,7 @@ func TestMatrixMarketRoundTrip(t *testing.T) {
 	if err := WriteMatrixMarket(&buf, a); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	b, err := ReadMatrixMarket(&buf)
+	b, err := ReadMatrixMarketWorkers(&buf, 1)
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
@@ -324,7 +324,7 @@ func TestMatrixMarketSymmetric(t *testing.T) {
 2 1 -1.0
 3 3 4.0
 `
-	a, err := ReadMatrixMarket(strings.NewReader(in))
+	a, err := ReadMatrixMarketWorkers(strings.NewReader(in), 1)
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
@@ -338,7 +338,7 @@ func TestMatrixMarketSymmetric(t *testing.T) {
 
 func TestMatrixMarketPattern(t *testing.T) {
 	in := "%%MatrixMarket matrix coordinate pattern general\n2 2 2\n1 2\n2 1\n"
-	a, err := ReadMatrixMarket(strings.NewReader(in))
+	a, err := ReadMatrixMarketWorkers(strings.NewReader(in), 1)
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
@@ -353,7 +353,7 @@ func TestMatrixMarketRejectsGarbage(t *testing.T) {
 		"%%MatrixMarket matrix coordinate complex general\n1 1 0\n",
 		"%%MatrixMarket matrix coordinate real general\n2 2 1\n5 5 1.0\n",
 	} {
-		if _, err := ReadMatrixMarket(strings.NewReader(in)); err == nil {
+		if _, err := ReadMatrixMarketWorkers(strings.NewReader(in), 1); err == nil {
 			t.Errorf("accepted %q", in[:20])
 		}
 	}
@@ -388,12 +388,12 @@ func TestSortRowsRepairs(t *testing.T) {
 	a := small(t)
 	a.ColIdx[0], a.ColIdx[1] = a.ColIdx[1], a.ColIdx[0]
 	a.Val[0], a.Val[1] = a.Val[1], a.Val[0]
-	a.SortRows()
+	a.SortRowsWorkers(1)
 	if err := a.Validate(); err != nil {
-		t.Fatalf("Validate after SortRows: %v", err)
+		t.Fatalf("Validate after SortRowsWorkers: %v", err)
 	}
 	if !a.Equal(small(t)) {
-		t.Error("SortRows changed content")
+		t.Error("SortRowsWorkers changed content")
 	}
 }
 
@@ -403,15 +403,15 @@ func TestComposePermutations(t *testing.T) {
 	a := randomCSR(rng, n, n, 100)
 	p := Perm(rng.Perm(n))
 	q := Perm(rng.Perm(n))
-	ap, err := PermuteRows(a, p)
+	ap, err := PermuteRowsWorkers(a, p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	apq, err := PermuteRows(ap, q)
+	apq, err := PermuteRowsWorkers(ap, q, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := PermuteRows(a, p.Compose(q))
+	direct, err := PermuteRowsWorkers(a, p.Compose(q), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +426,7 @@ func TestFromCSRRoundTripQuick(t *testing.T) {
 		rows := int(rowsRaw%40) + 1
 		cols := int(colsRaw%40) + 1
 		a := randomCSR(rng, rows, cols, int(nnzRaw))
-		b, err := FromCSR(a).ToCSR()
+		b, err := FromCSR(a).ToCSRWorkers(1)
 		return err == nil && a.Equal(b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -464,7 +464,7 @@ func TestMatrixMarketRejectsNegativeSizes(t *testing.T) {
 		"%%MatrixMarket matrix coordinate real general\n-1 2 1\n1 1 1\n",
 		"%%MatrixMarket matrix coordinate real general\n2 2 -5\n1 1 1\n",
 	} {
-		if _, err := ReadMatrixMarket(strings.NewReader(in)); err == nil {
+		if _, err := ReadMatrixMarketWorkers(strings.NewReader(in), 1); err == nil {
 			t.Errorf("accepted negative size line: %q", in[:60])
 		}
 	}
@@ -479,7 +479,7 @@ func TestMatrixMarketRejectsWrappedIndex(t *testing.T) {
 		"2 2 2\n" +
 		"1 1 1.0\n" +
 		"4294967298 1 7.0\n"
-	_, err := ReadMatrixMarket(strings.NewReader(in))
+	_, err := ReadMatrixMarketWorkers(strings.NewReader(in), 1)
 	if err == nil {
 		t.Fatal("accepted a 64-bit row index that wraps into range")
 	}
@@ -491,7 +491,7 @@ func TestMatrixMarketRejectsWrappedIndex(t *testing.T) {
 func TestMatrixMarketRejectsOutOfRangeIndices(t *testing.T) {
 	for _, entry := range []string{"0 1 1.0", "3 1 1.0", "1 0 1.0", "1 3 1.0", "-1 1 1.0"} {
 		in := "%%MatrixMarket matrix coordinate real general\n2 2 1\n" + entry + "\n"
-		if _, err := ReadMatrixMarket(strings.NewReader(in)); err == nil {
+		if _, err := ReadMatrixMarketWorkers(strings.NewReader(in), 1); err == nil {
 			t.Errorf("accepted entry %q on a 2x2 matrix", entry)
 		}
 	}
@@ -499,7 +499,7 @@ func TestMatrixMarketRejectsOutOfRangeIndices(t *testing.T) {
 
 func TestMatrixMarketRejectsHugeDimensions(t *testing.T) {
 	in := "%%MatrixMarket matrix coordinate real general\n3000000000 2 1\n1 1 1.0\n"
-	if _, err := ReadMatrixMarket(strings.NewReader(in)); err == nil {
+	if _, err := ReadMatrixMarketWorkers(strings.NewReader(in), 1); err == nil {
 		t.Error("accepted dimensions beyond the int32 index range")
 	}
 }
@@ -509,18 +509,18 @@ func TestMatrixMarketRejectsHugeDimensions(t *testing.T) {
 // after the banner is judged on the banner's content.
 func TestMatrixMarketBannerEOFTolerance(t *testing.T) {
 	// Valid banner, nothing else: the size line is what is missing.
-	_, err := ReadMatrixMarket(strings.NewReader("%%MatrixMarket matrix coordinate real general"))
+	_, err := ReadMatrixMarketWorkers(strings.NewReader("%%MatrixMarket matrix coordinate real general"), 1)
 	if err == nil || !strings.Contains(err.Error(), "missing size line") {
 		t.Errorf("banner-only stream: err = %v, want missing size line", err)
 	}
 	// Malformed banner, no newline: must report the malformed banner, not
 	// a spurious read error.
-	_, err = ReadMatrixMarket(strings.NewReader("%%MatrixMarket matrix"))
+	_, err = ReadMatrixMarketWorkers(strings.NewReader("%%MatrixMarket matrix"), 1)
 	if err == nil || !strings.Contains(err.Error(), "malformed Matrix Market banner") {
 		t.Errorf("truncated banner: err = %v, want malformed banner", err)
 	}
 	// Empty stream still reports the read failure.
-	_, err = ReadMatrixMarket(strings.NewReader(""))
+	_, err = ReadMatrixMarketWorkers(strings.NewReader(""), 1)
 	if err == nil || !strings.Contains(err.Error(), "reading banner") {
 		t.Errorf("empty stream: err = %v, want reading banner", err)
 	}

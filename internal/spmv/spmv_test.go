@@ -17,7 +17,7 @@ func randomCSR(rng *rand.Rand, rows, cols, nnz int) *sparse.CSR {
 	for k := 0; k < nnz; k++ {
 		coo.Append(rng.Intn(rows), rng.Intn(cols), rng.NormFloat64())
 	}
-	a, err := coo.ToCSR()
+	a, err := coo.ToCSRWorkers(1)
 	if err != nil {
 		panic(err)
 	}
@@ -46,7 +46,7 @@ func TestSerialKnown(t *testing.T) {
 	coo.Append(0, 0, 2)
 	coo.Append(0, 2, 1)
 	coo.Append(1, 1, -3)
-	a, _ := coo.ToCSR()
+	a, _ := coo.ToCSRWorkers(1)
 	x := []float64{1, 2, 3}
 	y := make([]float64, 2)
 	Serial(a, x, y)
@@ -132,7 +132,7 @@ func TestMul2DRowSpanningManyThreads(t *testing.T) {
 	}
 	coo.Append(2, 3, 1.5)
 	coo.Append(3, 7, -2.5)
-	a, _ := coo.ToCSR()
+	a, _ := coo.ToCSRWorkers(1)
 	x := randomVec(rng, 50)
 	want := make([]float64, 4)
 	Serial(a, x, want)
@@ -154,7 +154,7 @@ func TestMul2DEmptyRowsAtBoundaries(t *testing.T) {
 	coo.Append(0, 1, 1)
 	coo.Append(3, 2, 1)
 	coo.Append(3, 3, 1)
-	a, _ := coo.ToCSR()
+	a, _ := coo.ToCSRWorkers(1)
 	x := []float64{1, 1, 1, 1, 1}
 	want := make([]float64, 5)
 	Serial(a, x, want)
@@ -223,7 +223,7 @@ func TestPermutedSpMVConsistency(t *testing.T) {
 	a := randomCSR(rng, n, n, 700)
 	x := randomVec(rng, n)
 	p := sparse.Perm(rng.Perm(n))
-	b, err := sparse.PermuteSymmetric(a, p)
+	b, err := sparse.PermuteSymmetricWorkers(a, p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +352,7 @@ func TestMulMergeManyEmptyRows(t *testing.T) {
 	for k := 0; k < 30; k++ {
 		coo.Append(rng.Intn(20), rng.Intn(10), rng.NormFloat64())
 	}
-	a, _ := coo.ToCSR()
+	a, _ := coo.ToCSRWorkers(1)
 	x := randomVec(rng, 10)
 	want := make([]float64, 1000)
 	Serial(a, x, want)
@@ -380,7 +380,7 @@ func TestMulMergeGiantRow(t *testing.T) {
 	}
 	coo.Append(0, 5, 2)
 	coo.Append(2, 9, -3)
-	a, _ := coo.ToCSR()
+	a, _ := coo.ToCSRWorkers(1)
 	x := randomVec(rng, 200)
 	want := make([]float64, 3)
 	Serial(a, x, want)
@@ -431,7 +431,7 @@ func TestSerialTKnown(t *testing.T) {
 	coo.Append(0, 0, 2)
 	coo.Append(0, 2, 1)
 	coo.Append(1, 1, -3)
-	a, _ := coo.ToCSR()
+	a, _ := coo.ToCSRWorkers(1)
 	x := []float64{1, 2}
 	y := make([]float64, 3)
 	SerialT(a, x, y)

@@ -14,7 +14,7 @@ func TestDensityCounts(t *testing.T) {
 	coo.Append(0, 0, 1)
 	coo.Append(0, 1, 1)
 	coo.Append(3, 3, 1)
-	a, _ := coo.ToCSR()
+	a, _ := coo.ToCSRWorkers(1)
 	grid := Density(a, 2, 2)
 	if grid[0][0] != 2 || grid[1][1] != 1 || grid[0][1] != 0 || grid[1][0] != 0 {
 		t.Errorf("grid = %v", grid)
@@ -71,7 +71,7 @@ func TestASCIIDensityShading(t *testing.T) {
 		coo.Append(0, 0, 1)
 	}
 	coo.Append(7, 7, 1)
-	a, _ := coo.ToCSR()
+	a, _ := coo.ToCSRWorkers(1)
 	out := ASCII(a, 4)
 	if !strings.ContainsRune(out, rune(asciiRamp[len(asciiRamp)-1])) {
 		t.Error("densest cell not shaded darkest")

@@ -18,7 +18,7 @@ import (
 
 // graphOf builds the symmetrized adjacency graph used by the graph-based
 // orderings.
-func graphOf(a *Matrix) (*graph.Graph, error) { return graph.FromMatrixSymmetrized(a) }
+func graphOf(a *Matrix) (*graph.Graph, error) { return graph.FromMatrixSymmetrizedWorkers(a, 1) }
 
 // Core sparse-matrix types.
 type (
@@ -37,14 +37,15 @@ type (
 func NewCOO(rows, cols, nnz int) *COO { return sparse.NewCOO(rows, cols, nnz) }
 
 // ReadMatrixMarket parses a Matrix Market stream (coordinate
-// real/integer/pattern, general/symmetric/skew-symmetric) into CSR form.
-func ReadMatrixMarket(r io.Reader) (*Matrix, error) { return sparse.ReadMatrixMarket(r) }
+// real/integer/pattern, general/symmetric/skew-symmetric) into CSR form on
+// the calling goroutine; it is ReadMatrixMarketWorkers at one worker.
+func ReadMatrixMarket(r io.Reader) (*Matrix, error) { return sparse.ReadMatrixMarketWorkers(r, 1) }
 
-// ReadMatrixMarketWorkers parses a Matrix Market stream with the parallel
-// streaming ingestion pipeline: the entry section is split into
-// line-aligned chunks parsed concurrently by workers goroutines
-// (0 = GOMAXPROCS) and assembled into CSR in parallel. The result is
-// byte-identical to ReadMatrixMarket at every worker count.
+// ReadMatrixMarketWorkers parses a Matrix Market stream with the streaming
+// ingestion pipeline: the entry section is split into line-aligned chunks
+// parsed concurrently by workers goroutines (0 = GOMAXPROCS; 1 runs the
+// same code inline) and assembled into CSR. The result is byte-identical
+// at every worker count.
 func ReadMatrixMarketWorkers(r io.Reader, workers int) (*Matrix, error) {
 	return sparse.ReadMatrixMarketWorkers(r, workers)
 }
@@ -57,10 +58,12 @@ func WriteMatrixMarket(w io.Writer, m *Matrix) error { return sparse.WriteMatrix
 func Symmetrize(a *Matrix) (*Matrix, error) { return sparse.Symmetrize(a) }
 
 // PermuteSymmetric returns P·A·Pᵀ.
-func PermuteSymmetric(a *Matrix, p Perm) (*Matrix, error) { return sparse.PermuteSymmetric(a, p) }
+func PermuteSymmetric(a *Matrix, p Perm) (*Matrix, error) {
+	return sparse.PermuteSymmetricWorkers(a, p, 1)
+}
 
 // PermuteRows returns P·A (rows only, as the Gray ordering is applied).
-func PermuteRows(a *Matrix, p Perm) (*Matrix, error) { return sparse.PermuteRows(a, p) }
+func PermuteRows(a *Matrix, p Perm) (*Matrix, error) { return sparse.PermuteRowsWorkers(a, p, 1) }
 
 // Ordering names one of the study's reordering algorithms.
 type Ordering = reorder.Algorithm
@@ -172,7 +175,7 @@ type Features = metrics.Features
 // ComputeFeatures evaluates bandwidth, profile, off-diagonal nonzero count
 // (over a blocks×blocks grid) and the 1D load-imbalance factor.
 func ComputeFeatures(a *Matrix, blocks, threads int) Features {
-	return metrics.Compute(a, blocks, threads)
+	return metrics.ComputeWorkers(a, blocks, threads, 1)
 }
 
 // FillRatio returns nnz(L)/nnz(A) for the Cholesky factor of the

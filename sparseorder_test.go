@@ -85,7 +85,7 @@ func TestFacadeMatrixMarketRoundTrip(t *testing.T) {
 	coo.Append(0, 1, 2.5)
 	coo.Append(2, 0, -1)
 	coo.Append(1, 1, 4)
-	a, err := coo.ToCSR()
+	a, err := coo.ToCSRWorkers(1)
 	if err != nil {
 		t.Fatal(err)
 	}
