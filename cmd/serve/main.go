@@ -40,7 +40,7 @@
 // are shed with 429 + Retry-After instead of queueing unboundedly. Every
 // request carries a deadline (-deadline, shortenable per request with an
 // X-Deadline-Ms header) propagated as a context into the cancellable
-// orderings. Failures are classified with the study's
+// orderings. Failures are classified with the shared (internal/admit)
 // error/timeout/canceled/panic/resource taxonomy in the JSON error body.
 //
 // SIGINT or SIGTERM triggers a graceful drain: /readyz flips to 503, new
@@ -60,7 +60,7 @@ import (
 	"syscall"
 	"time"
 
-	"sparseorder/internal/experiments"
+	"sparseorder/internal/admit"
 	"sparseorder/internal/faultinject"
 	"sparseorder/internal/obs"
 	"sparseorder/internal/server"
@@ -150,7 +150,7 @@ func run() int {
 		Obs:            o,
 		Logf:           lg.Infof,
 	}
-	if cfg.MaxBody, err = experiments.ParseByteSize(*maxBody); err != nil {
+	if cfg.MaxBody, err = admit.ParseByteSize(*maxBody); err != nil {
 		lg.Errorf("-max-body: %v", err)
 		return exitFatal
 	}
@@ -160,7 +160,7 @@ func run() int {
 	case "off":
 		cfg.MemBudget = -1
 	default:
-		b, err := experiments.ParseByteSize(*memBudget)
+		b, err := admit.ParseByteSize(*memBudget)
 		if err != nil {
 			lg.Errorf("-membudget: %v", err)
 			return exitFatal
@@ -175,7 +175,7 @@ func run() int {
 	}
 	defer srv.Close()
 	if g := srv.Governor(); g != nil {
-		lg.Printf("memory governor: %s budget", experiments.FormatBytes(g.Budget()))
+		lg.Printf("memory governor: %s budget", admit.FormatBytes(g.Budget()))
 	} else {
 		lg.Printf("memory governor off (cache bounded to %d entries)", *cacheEntries)
 	}

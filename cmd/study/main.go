@@ -95,13 +95,13 @@ import (
 	"syscall"
 	"time"
 
+	"sparseorder/internal/admit"
 	"sparseorder/internal/experiments"
 	"sparseorder/internal/faultinject"
 	"sparseorder/internal/fsutil"
 	"sparseorder/internal/gen"
 	"sparseorder/internal/machine"
 	"sparseorder/internal/obs"
-	"sparseorder/internal/server"
 )
 
 // Exit codes; distinct values let scripts tell partial results from an
@@ -216,7 +216,7 @@ func run() (code int) {
 	case "off":
 		cfg.MemBudget = -1
 	default:
-		b, err := experiments.ParseByteSize(*memBudget)
+		b, err := admit.ParseByteSize(*memBudget)
 		if err != nil {
 			lg.Errorf("-membudget: %v", err)
 			return exitFatal
@@ -444,10 +444,6 @@ func run() (code int) {
 	if *exp == "benchobs" {
 		bench, err := experiments.RunObsBench(*seed, *repeats)
 		if err != nil {
-			lg.Errorf("%v", err)
-			return exitFatal
-		}
-		if bench.Serving, err = server.RunServingBench(); err != nil {
 			lg.Errorf("%v", err)
 			return exitFatal
 		}

@@ -1,4 +1,10 @@
-package experiments
+// Package admit is the admission layer the study harness and the serving
+// daemon share: a byte-weighted memory governor with its degradation
+// ladder, the working-set estimates it admits against, byte-size parsing,
+// and the failure taxonomy both report through. It imports only
+// internal/obs and internal/reorder (whose algorithm names the estimates
+// key on), so the daemon reaches it without importing the study harness.
+package admit
 
 import (
 	"context"
@@ -19,7 +25,7 @@ import (
 // (more than soloOvercommit times the budget, i.e. not even a drained-pool
 // solo run could stay near the limit). The failure classifies as
 // FailResource, journals as a terminal failure, and resumes cleanly.
-var ErrResourceBudget = errors.New("experiments: matrix working set exceeds the memory budget")
+var ErrResourceBudget = errors.New("admit: matrix working set exceeds the memory budget")
 
 // soloOvercommit is how far past the budget a single matrix may go when it
 // runs alone with the pool drained (degradation ladder step 2). Matrices
@@ -108,12 +114,12 @@ func EstimateIngestBytes(rows, nnz int) int64 {
 	return text + shards + scratch + csrBytes(n, z)
 }
 
-// resolveMemBudget turns Config.MemBudget into an effective byte budget:
-// positive values are taken as-is, negative disables the governor, and 0
-// auto-detects from the Go runtime's soft memory limit (GOMEMLIMIT /
-// debug.SetMemoryLimit): when a limit is set the budget is 90% of it,
-// leaving headroom for the runtime itself; with no limit set there is
-// nothing to govern against and the governor stays off.
+// resolveMemBudget turns a configured memory budget into an effective
+// byte budget: positive values are taken as-is, negative disables the
+// governor, and 0 auto-detects from the Go runtime's soft memory limit
+// (GOMEMLIMIT / debug.SetMemoryLimit): when a limit is set the budget is
+// 90% of it, leaving headroom for the runtime itself; with no limit set
+// there is nothing to govern against and the governor stays off.
 func resolveMemBudget(v int64) int64 {
 	switch {
 	case v > 0:
@@ -134,8 +140,8 @@ func resolveMemBudget(v int64) int64 {
 //
 //  1. Matrices whose estimate fits the budget acquire their bytes before
 //     evaluating and release them after; under pressure this narrows the
-//     effective concurrency below Config.Workers without any explicit
-//     worker throttling.
+//     effective concurrency below the caller's worker count without any
+//     explicit worker throttling.
 //  2. A matrix estimated over the budget (but within soloOvercommit×) is
 //     admitted solo: admission waits for the pool to drain and holds it
 //     exclusively, so the oversized matrix is the only allocation source
@@ -161,11 +167,6 @@ type Governor struct {
 	admittedC *obs.Counter // sparseorder_governor_admitted_bytes_total
 	degradedC *obs.Counter // sparseorder_governor_degradations_total
 	rejectedC *obs.Counter // sparseorder_governor_rejected_total
-}
-
-// newGovernor builds the run's governor, or nil when no budget applies.
-func newGovernor(cfg Config) *Governor {
-	return NewGovernor(cfg.MemBudget, cfg.Obs)
 }
 
 // NewGovernor builds a byte-weighted admission governor over memBudget
@@ -267,6 +268,10 @@ func (g *Governor) Acquire(ctx context.Context, name string, est int64, wantSolo
 	return &Admission{g: g, bytes: est, solo: solo}, nil
 }
 
+// Solo reports whether the grant holds the whole pool (degradation ladder
+// step 2); false on a nil admission.
+func (a *Admission) Solo() bool { return a != nil && a.solo }
+
 // Release returns the grant; safe on a nil admission (the nil-governor
 // path).
 func (a *Admission) Release() {
@@ -292,7 +297,7 @@ func (a *Admission) Release() {
 // holds, or is waiting for, the pool). It is the load-shedding signal —
 // callers that cannot queue (the serving daemon) translate it into a
 // 429/Retry-After instead of blocking unboundedly.
-var ErrGovernorSaturated = errors.New("experiments: memory governor saturated")
+var ErrGovernorSaturated = errors.New("admit: memory governor saturated")
 
 // TryAcquire is the non-blocking Acquire: it grants est bytes immediately
 // or reports why it cannot. It returns (nil, nil) from a nil governor,
@@ -370,7 +375,7 @@ var byteUnits = []struct {
 func ParseByteSize(s string) (int64, error) {
 	t := strings.ToLower(strings.TrimSpace(s))
 	if t == "" {
-		return 0, fmt.Errorf("experiments: empty byte size")
+		return 0, fmt.Errorf("admit: empty byte size")
 	}
 	shift := uint(0)
 	for _, u := range byteUnits {
@@ -382,11 +387,11 @@ func ParseByteSize(s string) (int64, error) {
 	}
 	v, err := strconv.ParseFloat(t, 64)
 	if err != nil || v < 0 || math.IsInf(v, 0) || math.IsNaN(v) {
-		return 0, fmt.Errorf("experiments: bad byte size %q", s)
+		return 0, fmt.Errorf("admit: bad byte size %q", s)
 	}
 	b := v * float64(int64(1)<<shift)
 	if b > math.MaxInt64 {
-		return 0, fmt.Errorf("experiments: byte size %q overflows", s)
+		return 0, fmt.Errorf("admit: byte size %q overflows", s)
 	}
 	return int64(b), nil
 }

@@ -1,18 +1,15 @@
-package experiments
+package admit
 
 import (
 	"context"
 	"errors"
 	"math"
-	"path/filepath"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"sparseorder/internal/gen"
-	"sparseorder/internal/obs"
 	"sparseorder/internal/reorder"
 )
 
@@ -46,7 +43,7 @@ func TestEstimateMatrixBytes(t *testing.T) {
 	}
 }
 
-// TestResolveMemBudget covers the three Config.MemBudget regimes, including
+// TestResolveMemBudget covers the three memory-budget regimes, including
 // the GOMEMLIMIT auto-detection path.
 func TestResolveMemBudget(t *testing.T) {
 	if got := resolveMemBudget(123); got != 123 {
@@ -70,7 +67,7 @@ func TestResolveMemBudget(t *testing.T) {
 // budget of 100 and 40-byte matrices, at most two may hold grants at once,
 // whatever the worker count.
 func TestGovernorNarrowsConcurrency(t *testing.T) {
-	g := newGovernor(Config{MemBudget: 100})
+	g := NewGovernor(100, nil)
 	var cur, peak atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -104,7 +101,7 @@ func TestGovernorNarrowsConcurrency(t *testing.T) {
 // for the pool to drain, holds it exclusively, and cannot be starved by a
 // stream of small admissions arriving while it waits.
 func TestGovernorSoloDrainsPool(t *testing.T) {
-	g := newGovernor(Config{MemBudget: 100})
+	g := NewGovernor(100, nil)
 	ctx := context.Background()
 	small, err := g.Acquire(ctx, "small", 40, false)
 	if err != nil {
@@ -166,7 +163,7 @@ func TestGovernorSoloDrainsPool(t *testing.T) {
 // the matrix is rejected with ErrResourceBudget, which classifies as the
 // non-retryable resource failure class.
 func TestGovernorRejectsOversized(t *testing.T) {
-	g := newGovernor(Config{MemBudget: 100})
+	g := NewGovernor(100, nil)
 	_, err := g.Acquire(context.Background(), "huge", 201, false)
 	if !errors.Is(err, ErrResourceBudget) {
 		t.Fatalf("err = %v, want ErrResourceBudget", err)
@@ -182,7 +179,7 @@ func TestGovernorRejectsOversized(t *testing.T) {
 // TestGovernorAdmitCancel checks that cancelling the run context unblocks
 // a waiting admission with the context's error.
 func TestGovernorAdmitCancel(t *testing.T) {
-	g := newGovernor(Config{MemBudget: 100})
+	g := NewGovernor(100, nil)
 	hold, err := g.Acquire(context.Background(), "hold", 100, false)
 	if err != nil {
 		t.Fatal(err)
@@ -223,43 +220,6 @@ func TestGovernorNilZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestRetryDelay pins the capped-doubling-with-jitter schedule: pure in
-// (seed, name, attempt), doubling until the cap, jittered into [d/2, d).
-func TestRetryDelay(t *testing.T) {
-	if d := retryDelay(0, time.Second, 7, "m", 3); d != 0 {
-		t.Errorf("zero base: got %v", d)
-	}
-	a := retryDelay(100*time.Millisecond, 10*time.Second, 7, "m", 2)
-	b := retryDelay(100*time.Millisecond, 10*time.Second, 7, "m", 2)
-	if a != b {
-		t.Errorf("retryDelay is not deterministic: %v vs %v", a, b)
-	}
-	// Attempt 2 doubles once: jittered into [100ms, 200ms).
-	if a < 100*time.Millisecond || a >= 200*time.Millisecond {
-		t.Errorf("attempt 2 delay %v outside [100ms, 200ms)", a)
-	}
-	// A huge attempt count must saturate at the cap, not overflow.
-	c := retryDelay(100*time.Millisecond, time.Second, 7, "m", 500)
-	if c < 500*time.Millisecond || c >= time.Second {
-		t.Errorf("capped delay %v outside [500ms, 1s)", c)
-	}
-	// Jitter decorrelates matrices: not every name may land on the same
-	// delay.
-	names := []string{"m0", "m1", "m2", "m3", "m4"}
-	distinct := map[time.Duration]bool{}
-	for _, n := range names {
-		distinct[retryDelay(100*time.Millisecond, 10*time.Second, 7, n, 2)] = true
-	}
-	if len(distinct) < 2 {
-		t.Errorf("jitter produced identical delays for %v", names)
-	}
-	// Seed sensitivity.
-	if retryDelay(100*time.Millisecond, 10*time.Second, 7, "m", 2) ==
-		retryDelay(100*time.Millisecond, 10*time.Second, 8, "m", 2) {
-		t.Error("different seeds produced the same delay (suspicious)")
-	}
-}
-
 // TestParseByteSize covers the accepted spellings and the rejects.
 func TestParseByteSize(t *testing.T) {
 	good := map[string]int64{
@@ -297,110 +257,6 @@ func TestFormatBytes(t *testing.T) {
 		if got := FormatBytes(in); got != want {
 			t.Errorf("FormatBytes(%d) = %q, want %q", in, got, want)
 		}
-	}
-}
-
-// TestRunStudyResourceSkip drives the full runner with a budget no matrix
-// can fit: every matrix must fail with class resource after one attempt,
-// journal as a terminal failure, and be skipped (not re-evaluated) on
-// resume.
-func TestRunStudyResourceSkip(t *testing.T) {
-	ms := smallSet()
-	cfg := journalConfig()
-	cfg.MemBudget = 1 // solo ceiling 2 bytes: nothing fits
-	var calls atomic.Int32
-	eval := func(ctx context.Context, m gen.Matrix, c Config) (*MatrixResult, error) {
-		calls.Add(1)
-		return &MatrixResult{Name: m.Name}, nil
-	}
-
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	j, err := CreateJournal(path, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run1 := cfg
-	run1.Journal = j
-	s, err := runStudy(context.Background(), run1, ms, eval)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-	if calls.Load() != 0 {
-		t.Errorf("eval ran %d times under an impossible budget, want 0", calls.Load())
-	}
-	if len(s.Matrices) != 0 || len(s.Failures) != len(ms) {
-		t.Fatalf("%d results, %d failures; want 0 and %d", len(s.Matrices), len(s.Failures), len(ms))
-	}
-	for i := range s.Failures {
-		if f := &s.Failures[i]; f.Class != FailResource || f.Attempts != 1 {
-			t.Errorf("%s: class %s attempts %d, want resource/1", f.Name, f.Class, f.Attempts)
-		}
-	}
-
-	// Resume: the journaled resource skips are terminal, never re-run.
-	j2, err := LoadJournal(path, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	if j2.Len() != len(ms) {
-		t.Fatalf("journal holds %d records, want %d", j2.Len(), len(ms))
-	}
-	run2 := cfg
-	run2.Journal = j2
-	run2.MemBudget = -1 // even with the governor off, journaled skips stand
-	s2, err := runStudy(context.Background(), run2, ms, eval)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls.Load() != 0 {
-		t.Errorf("resume re-evaluated %d matrices, want 0", calls.Load())
-	}
-	for i := range s2.Failures {
-		if f := &s2.Failures[i]; f.Class != FailResource {
-			t.Errorf("resumed %s: class %s, want resource", f.Name, f.Class)
-		}
-	}
-}
-
-// TestRunStudySoloDegrade sizes the budget so the largest matrix in the
-// set is over budget but under the solo ceiling: the run must complete
-// with no failures and the degradation counter must record the solo
-// admission.
-func TestRunStudySoloDegrade(t *testing.T) {
-	ms := smallSet()
-	base := journalConfig()
-	wd := base.withDefaults()
-	var maxEst int64
-	for _, m := range ms {
-		if e := EstimateMatrixBytes(m.A.Rows, m.A.NNZ(), wd.Orderings); e > maxEst {
-			maxEst = e
-		}
-	}
-	cfg := base
-	cfg.MemBudget = maxEst - 1
-	reg := obs.NewRegistry()
-	cfg.Obs = &obs.Obs{Metrics: reg}
-	eval := func(ctx context.Context, m gen.Matrix, c Config) (*MatrixResult, error) {
-		return &MatrixResult{Name: m.Name}, nil
-	}
-	s, err := runStudy(context.Background(), cfg, ms, eval)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Failures) != 0 || len(s.Matrices) != len(ms) {
-		t.Fatalf("%d results, %d failures; want all %d to succeed", len(s.Matrices), len(s.Failures), len(ms))
-	}
-	degraded := reg.Counter("sparseorder_governor_degradations_total",
-		"matrices degraded to a solo run with the pool drained").Value()
-	if degraded == 0 {
-		t.Error("no solo degradation recorded for the over-budget matrix")
-	}
-	admitted := reg.Counter("sparseorder_governor_admitted_bytes_total",
-		"cumulative estimated bytes admitted into the pool").Value()
-	if admitted == 0 {
-		t.Error("admitted-bytes counter stayed zero")
 	}
 }
 

@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"testing"
 	"time"
@@ -11,6 +14,8 @@ import (
 	"sparseorder/internal/gen"
 	"sparseorder/internal/obs"
 	"sparseorder/internal/reorder"
+	"sparseorder/internal/server"
+	"sparseorder/internal/sparse"
 )
 
 // ObsBench is the observability-overhead measurement committed as
@@ -28,10 +33,8 @@ import (
 //     1% of the uninstrumented pipeline, which the micro numbers bound
 //     (a handful of nanoseconds per span against milliseconds of work).
 //   - Serving: one warm SpMV request through the daemon's handler with
-//     telemetry nil / metrics-only / metrics+tracing, measured by
-//     server.RunServingBench and merged in by cmd/study (the server
-//     package imports this one, so the dependency cannot point the other
-//     way). The nilobs row is the request-path equivalent of the no-sink
+//     telemetry nil / metrics-only / metrics+tracing (runServingBench).
+//     The nilobs row is the request-path equivalent of the no-sink
 //     pipeline budget.
 type ObsBench struct {
 	HostCPUs   int              `json:"host_cpus"`
@@ -148,6 +151,98 @@ func RunObsBench(seed int64, repeats int) (*ObsBench, error) {
 			}
 			out.Pipeline = append(out.Pipeline, r)
 		}
+	}
+	serving, err := runServingBench()
+	if err != nil {
+		return nil, err
+	}
+	out.Serving = serving
+	return out, nil
+}
+
+// runServingBench measures the serving path's instrumentation overhead:
+// one warm SpMV request (cache hit, plan pooled) driven straight through
+// the handler, in three telemetry modes:
+//
+//	serve_spmv_nilobs   cfg.Obs nil — instrumentation compiled in but
+//	                    resolving to nil recorders (the disabled-path
+//	                    contract extended to the request path)
+//	serve_spmv_metrics  live registry: per-route latency, phase
+//	                    histograms and status counters on pre-resolved
+//	                    handles
+//	serve_spmv_traced   metrics plus the request-trace ring and span —
+//	                    everything cmd/serve enables by default
+//
+// The numbers include the HTTP mux, JSON decode/encode and the multiply
+// itself, so the telemetry cost reads as the delta between modes, not the
+// absolute.
+func runServingBench() ([]ObsMicroResult, error) {
+	a := gen.Banded(300, 4, 0.9, 1)
+	var mm bytes.Buffer
+	if err := sparse.WriteMatrixMarket(&mm, a); err != nil {
+		return nil, fmt.Errorf("experiments: serving bench corpus: %v", err)
+	}
+	x := make([]float64, a.Rows)
+	for i := range x {
+		x[i] = float64(i%7) - 3
+	}
+	body, err := json.Marshal(struct {
+		X []float64 `json:"x"`
+	}{x})
+	if err != nil {
+		return nil, err
+	}
+
+	modes := []struct {
+		name string
+		obs  func() *obs.Obs
+	}{
+		{"serve_spmv_nilobs", func() *obs.Obs { return nil }},
+		{"serve_spmv_metrics", func() *obs.Obs {
+			return &obs.Obs{Metrics: obs.NewRegistry()}
+		}},
+		{"serve_spmv_traced", func() *obs.Obs {
+			return &obs.Obs{Metrics: obs.NewRegistry(), Requests: obs.NewTraceRing(obs.DefaultTraceCap)}
+		}},
+	}
+
+	var out []ObsMicroResult
+	for _, mode := range modes {
+		srv, err := server.New(server.Config{Threads: 1, Obs: mode.obs()})
+		if err != nil {
+			return nil, err
+		}
+		h := srv.Handler()
+
+		// Upload once; every benchmark iteration is then a warm cache hit.
+		up := httptest.NewRecorder()
+		h.ServeHTTP(up, httptest.NewRequest(http.MethodPost, "/matrices", bytes.NewReader(mm.Bytes())))
+		if up.Code != http.StatusOK {
+			return nil, fmt.Errorf("experiments: serving bench upload (%s): status %d: %s", mode.name, up.Code, up.Body.String())
+		}
+		var ur struct {
+			Key string `json:"key"`
+		}
+		if err := json.Unmarshal(up.Body.Bytes(), &ur); err != nil {
+			return nil, err
+		}
+		url := "/spmv/" + ur.Key
+
+		r := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				w := httptest.NewRecorder()
+				h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, url, bytes.NewReader(body)))
+				if w.Code != http.StatusOK {
+					b.Fatalf("spmv status %d: %s", w.Code, w.Body.String())
+				}
+			}
+		})
+		out = append(out, ObsMicroResult{
+			Name:        mode.name,
+			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
+			AllocsPerOp: r.AllocsPerOp(),
+		})
 	}
 	return out, nil
 }

@@ -23,8 +23,8 @@ type Options struct {
 	// Cancel, when non-nil, is polled at every bisection branch, coarsening
 	// level, initial trial and refinement pass; once closed the partitioner
 	// unwinds promptly. The assignment returned after a cancellation is
-	// incomplete and must be discarded — the context-aware entry points do
-	// so and surface the context's error instead. A nil channel never
+	// incomplete and must be discarded — the context-aware entry point
+	// (reorder.ComputeCtx) does so and surfaces the context's error instead. A nil channel never
 	// cancels, and an uncancelled run is byte-identical either way.
 	Cancel <-chan struct{}
 	// Obs, when non-nil, receives per-level phase timings from every

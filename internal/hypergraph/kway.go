@@ -14,40 +14,34 @@ import (
 // excluded from the subproblems. Returns the part of each vertex and the
 // final cut-net value.
 func KWay(h *Hypergraph, k int, opts Options) ([]int32, int, error) {
+	part, err := kway(h, k, opts, false)
+	if err != nil {
+		return nil, 0, err
+	}
+	return part, CutNet(h, part), nil
+}
+
+// kway is the recursive-bisection driver shared by both objectives; split
+// selects the subproblem rule for nets cut by an earlier bisection (see
+// induced).
+func kway(h *Hypergraph, k int, opts Options, split bool) ([]int32, error) {
 	if k < 1 {
-		return nil, 0, fmt.Errorf("hypergraph: k must be >= 1, got %d", k)
+		return nil, fmt.Errorf("hypergraph: k must be >= 1, got %d", k)
 	}
 	opts = opts.withDefaults()
 	part := make([]int32, h.V)
 	if k == 1 {
-		return part, 0, nil
+		return part, nil
 	}
 	verts := make([]int32, h.V)
 	for i := range verts {
 		verts[i] = int32(i)
 	}
-	recursive(h, verts, 0, k, part, opts, opts.Seed, par.NewLimiter(opts.Workers))
+	recursive(h, verts, 0, k, part, opts, opts.Seed, par.NewLimiter(opts.Workers), split)
 	if par.Canceled(opts.Cancel) {
-		return nil, 0, context.Canceled
+		return nil, context.Canceled
 	}
-	return part, CutNet(h, part), nil
-}
-
-// KWayCtx is KWay driven by a context: the context's done channel is
-// threaded into every coarsening level, bisection trial and refinement pass
-// (via Options.Cancel), and a cancelled or expired context aborts the
-// partitioning promptly with the context's error instead of returning a
-// partial assignment.
-func KWayCtx(ctx context.Context, h *Hypergraph, k int, opts Options) ([]int32, int, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, 0, err
-	}
-	opts.Cancel = ctx.Done()
-	part, cut, err := KWay(h, k, opts)
-	if err := ctx.Err(); err != nil {
-		return nil, 0, err
-	}
-	return part, cut, err
+	return part, nil
 }
 
 // forkMinVerts is the branch size below which the recursive bisections
@@ -59,7 +53,7 @@ const forkMinVerts = 4096
 // internal/partition), so the serial and parallel executions produce
 // identical partitions; the two branches write disjoint entries of part,
 // and lim bounds the live goroutines to the configured worker count.
-func recursive(root *Hypergraph, verts []int32, firstPart, k int, part []int32, opts Options, seed int64, lim *par.Limiter) {
+func recursive(root *Hypergraph, verts []int32, firstPart, k int, part []int32, opts Options, seed int64, lim *par.Limiter, split bool) {
 	if par.Canceled(opts.Cancel) {
 		return
 	}
@@ -69,7 +63,7 @@ func recursive(root *Hypergraph, verts []int32, firstPart, k int, part []int32, 
 		}
 		return
 	}
-	sub, orig := induced(root, verts)
+	sub, orig := induced(root, verts, split)
 	kLeft := (k + 1) / 2
 	frac := float64(kLeft) / float64(k)
 	side := Bisect(sub, frac, opts, rand.New(rand.NewSource(seed)))
@@ -81,8 +75,6 @@ func recursive(root *Hypergraph, verts []int32, firstPart, k int, part []int32, 
 			right = append(right, orig[i])
 		}
 	}
-	// Record the split so that induced() at deeper levels can identify nets
-	// already cut at this level (pins spanning both children).
 	for _, v := range left {
 		part[v] = int32(firstPart)
 	}
@@ -93,20 +85,21 @@ func recursive(root *Hypergraph, verts []int32, firstPart, k int, part []int32, 
 	rightSeed := seed*2654435761 + 2
 	if lim != nil && len(verts) > forkMinVerts {
 		lim.Fork(
-			func() { recursive(root, left, firstPart, kLeft, part, opts, leftSeed, lim) },
-			func() { recursive(root, right, firstPart+kLeft, k-kLeft, part, opts, rightSeed, lim) })
+			func() { recursive(root, left, firstPart, kLeft, part, opts, leftSeed, lim, split) },
+			func() { recursive(root, right, firstPart+kLeft, k-kLeft, part, opts, rightSeed, lim, split) })
 		return
 	}
-	recursive(root, left, firstPart, kLeft, part, opts, leftSeed, lim)
-	recursive(root, right, firstPart+kLeft, k-kLeft, part, opts, rightSeed, lim)
+	recursive(root, left, firstPart, kLeft, part, opts, leftSeed, lim, split)
+	recursive(root, right, firstPart+kLeft, k-kLeft, part, opts, rightSeed, lim, split)
 }
 
-// induced builds the sub-hypergraph on verts. Nets of the root hypergraph
-// are restricted to pins within verts; nets that already have a pin outside
-// the current vertex set (i.e. were cut by an earlier bisection) are
-// dropped, implementing the cut-net exclusion rule. Nets left with fewer
-// than two pins are dropped as well.
-func induced(root *Hypergraph, verts []int32) (*Hypergraph, []int32) {
+// induced builds the sub-hypergraph on verts. A net with a pin outside
+// verts was cut by an earlier bisection: under cut-net (split false) it is
+// already paid for and dropped; under connectivity-1 (split true) it is
+// restricted to its pins inside verts, because every further part it
+// touches costs one more unit. Nets left with fewer than two pins are
+// dropped under both rules.
+func induced(root *Hypergraph, verts []int32, split bool) (*Hypergraph, []int32) {
 	local := make([]int32, root.V)
 	for i := range local {
 		local[i] = -1
@@ -129,17 +122,17 @@ func induced(root *Hypergraph, verts []int32) (*Hypergraph, []int32) {
 				continue
 			}
 			netSeen[n] = true
-			pins := root.Pins(int(n))
 			start := len(npins)
-			outside := false
-			for _, u := range pins {
-				if local[u] < 0 {
-					outside = true
+			drop := false
+			for _, u := range root.Pins(int(n)) {
+				if local[u] >= 0 {
+					npins = append(npins, local[u])
+				} else if !split {
+					drop = true
 					break
 				}
-				npins = append(npins, local[u])
 			}
-			if outside || len(npins)-start < 2 {
+			if drop || len(npins)-start < 2 {
 				npins = npins[:start]
 				continue
 			}

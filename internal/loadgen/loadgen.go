@@ -114,14 +114,14 @@ func (c *Config) fill() {
 
 // Report is the run's SLO summary, JSON-encodable for CI assertions.
 type Report struct {
-	Target     string   `json:"target"`
-	Matrices   int      `json:"matrices"`
-	RateRPS    float64  `json:"rate_rps"`
-	DurationS  float64  `json:"duration_s"`
-	ZipfS      float64  `json:"zipf_s"`
-	Seed       int64    `json:"seed"`
-	OfferedRPS float64  `json:"offered_rps"` // arrivals fired / duration
-	Dropped    int64    `json:"dropped"`     // arrivals shed by MaxInFlight
+	Target     string  `json:"target"`
+	Matrices   int     `json:"matrices"`
+	RateRPS    float64 `json:"rate_rps"`
+	DurationS  float64 `json:"duration_s"`
+	ZipfS      float64 `json:"zipf_s"`
+	Seed       int64   `json:"seed"`
+	OfferedRPS float64 `json:"offered_rps"` // arrivals fired / duration
+	Dropped    int64   `json:"dropped"`     // arrivals shed by MaxInFlight
 	// RetriesTotal is the count of extra attempts issued after 429/503
 	// responses across all routes.
 	RetriesTotal int64    `json:"retries_total"`

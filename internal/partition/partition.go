@@ -53,7 +53,7 @@ type Options struct {
 	// level, initial-bisection trial and refinement pass; once it is closed
 	// the partitioner unwinds promptly. The part assignment returned after
 	// a cancellation is incomplete and must be discarded — the context-
-	// aware entry points (KWayCtx, reorder.ComputeCtx) do so and surface
+	// aware entry point (reorder.ComputeCtx) does so and surfaces
 	// the context's error instead. A nil channel never cancels, and an
 	// uncancelled run is byte-identical with or without the field set.
 	Cancel <-chan struct{}
@@ -113,23 +113,6 @@ func KWay(g *graph.Graph, k int, opts Options) ([]int32, int, error) {
 		return nil, 0, context.Canceled
 	}
 	return part, EdgeCut(g, part), nil
-}
-
-// KWayCtx is KWay driven by a context: the context's done channel is
-// threaded into every coarsening level, bisection trial and refinement
-// pass (via Options.Cancel), and a cancelled or expired context aborts
-// the partitioning promptly with the context's error instead of returning
-// a partial assignment.
-func KWayCtx(ctx context.Context, g *graph.Graph, k int, opts Options) ([]int32, int, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, 0, err
-	}
-	opts.Cancel = ctx.Done()
-	part, cut, err := KWay(g, k, opts)
-	if err := ctx.Err(); err != nil {
-		return nil, 0, err
-	}
-	return part, cut, err
 }
 
 // parallelMinVerts is the branch size below which recursiveBisect stops

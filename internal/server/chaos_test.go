@@ -12,7 +12,7 @@ import (
 	"sync"
 	"testing"
 
-	"sparseorder/internal/experiments"
+	"sparseorder/internal/admit"
 	"sparseorder/internal/faultinject"
 	"sparseorder/internal/gen"
 	"sparseorder/internal/sparse"
@@ -105,10 +105,10 @@ func TestServerChaosSoak(t *testing.T) {
 		http.StatusServiceUnavailable: true, http.StatusGatewayTimeout: true,
 		http.StatusRequestEntityTooLarge: true, statusClientClosed: true,
 	}
-	classes := map[experiments.FailureClass]bool{
-		experiments.FailError: true, experiments.FailTimeout: true,
-		experiments.FailCanceled: true, experiments.FailPanic: true,
-		experiments.FailResource: true,
+	classes := map[admit.FailureClass]bool{
+		admit.FailError: true, admit.FailTimeout: true,
+		admit.FailCanceled: true, admit.FailPanic: true,
+		admit.FailResource: true,
 	}
 
 	const workers, iters = 8, 25

@@ -9,7 +9,7 @@ import (
 	"strings"
 	"testing"
 
-	"sparseorder/internal/experiments"
+	"sparseorder/internal/admit"
 )
 
 // chainMM is a 1D Laplacian chain of n rows in Matrix Market form whose
@@ -44,7 +44,7 @@ func TestNonFiniteMatrixRejected(t *testing.T) {
 		}
 		raw, _ := io.ReadAll(res.Body)
 		res.Body.Close()
-		wantClass(t, res, raw, http.StatusBadRequest, experiments.FailError)
+		wantClass(t, res, raw, http.StatusBadRequest, admit.FailError)
 		if !strings.Contains(string(raw), "not finite") {
 			t.Errorf("%s: error %s does not name the non-finite value", v, raw)
 		}
@@ -72,7 +72,7 @@ func TestNonFiniteXRejected(t *testing.T) {
 		}
 		raw, _ := io.ReadAll(res.Body)
 		res.Body.Close()
-		wantClass(t, res, raw, http.StatusBadRequest, experiments.FailError)
+		wantClass(t, res, raw, http.StatusBadRequest, admit.FailError)
 	}
 }
 
@@ -93,7 +93,7 @@ func TestOverflowingProductIsClassified(t *testing.T) {
 		x[i] = 10
 	}
 	res2, raw := postSpMV(t, ts, up.Key, x)
-	wantClass(t, res2, raw, http.StatusInternalServerError, experiments.FailError)
+	wantClass(t, res2, raw, http.StatusInternalServerError, admit.FailError)
 	if !strings.Contains(string(raw), "encoding response") {
 		t.Errorf("error %s does not name the encode failure", raw)
 	}

@@ -5,7 +5,7 @@ import (
 	"sort"
 	"time"
 
-	"sparseorder/internal/experiments"
+	"sparseorder/internal/admit"
 	"sparseorder/internal/par"
 )
 
@@ -109,7 +109,7 @@ func (s *Server) Recover(ctx context.Context) (RecoveryStats, error) {
 	})
 	type admitted struct {
 		cand storeCandidate
-		adm  *experiments.Admission
+		adm  *admit.Admission
 	}
 	var admit []admitted
 	keepStamps := map[string]int64{} // access stamps surviving compaction

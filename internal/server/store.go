@@ -639,4 +639,3 @@ func (s *store) listEntries() ([]string, error) {
 	}
 	return paths, nil
 }
-
