@@ -270,7 +270,9 @@ func buildCorpus(n, rows int, seed int64) []*matrixSpec {
 			a = gen.Banded(rows+i*7, 4, 0.9, seed+int64(i))
 			name = fmt.Sprintf("banded-%d", i)
 		case 1:
-			side := intSqrt(rows + i*11)
+			// One side per grid entry: each content key must be sent one
+			// x only, or the responses of two entries would "diverge".
+			side := intSqrt(rows) + i/3
 			a = gen.Grid2D(side, side)
 			name = fmt.Sprintf("grid-%d", i)
 		default:
@@ -706,7 +708,7 @@ func serverView(before, after []promSample, route string) (*ServerView, bool) {
 	if h.count > 0 {
 		sv.Mean = h.sum / float64(h.count)
 	}
-	for _, ph := range []string{"queue_wait", "governor_wait", "decode", "reorder", "plan_build", "spmv", "store_write"} {
+	for _, ph := range []string{"queue_wait", "governor_wait", "decode", "reorder", "plan_build", "spmv", "store_write", "encode"} {
 		pw := map[string]string{"route": route, "phase": ph}
 		p1, ok := extractHist(after, metricPhaseSeconds, pw)
 		if !ok {

@@ -148,6 +148,22 @@ func TestBuildCorpusDeterministic(t *testing.T) {
 	}
 }
 
+// TestBuildCorpusDistinct: no two corpus entries share a Matrix Market
+// body, so no content key is sent two different x vectors (which the
+// divergence check would report as a server fault).
+func TestBuildCorpusDistinct(t *testing.T) {
+	for _, rows := range []int{200, 2000, 20000} {
+		corpus := buildCorpus(16, rows, 7)
+		seen := map[string]string{}
+		for _, s := range corpus {
+			if prev, dup := seen[string(s.mm)]; dup {
+				t.Errorf("rows %d: %s and %s have the same Matrix Market body", rows, prev, s.name)
+			}
+			seen[string(s.mm)] = s.name
+		}
+	}
+}
+
 // TestRunAgainstServer is the end-to-end pass: a real server.Server behind
 // httptest, a short zipf burst, and the full metrics cross-check. This is
 // the test that keeps loadgen's scraped family names in sync with

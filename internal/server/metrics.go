@@ -12,9 +12,10 @@ import (
 )
 
 // phase indexes the serving path's latency decomposition. Every request's
-// wall time is attributed to the phases it actually passed through; the
-// remainder (routing, JSON encode, scheduling) is deliberately left
-// unattributed so the phases never over-claim.
+// wall time is attributed to the phases it actually passed through,
+// response encoding included; the remainder (routing, header and body
+// writes, scheduling) is left unattributed so the phases never
+// over-claim.
 type phase int
 
 const (
@@ -40,12 +41,15 @@ const (
 	// phaseStoreWrite is the durable-store persist after a successful
 	// reorder: serialization plus the atomic write and its fsyncs.
 	phaseStoreWrite
+	// phaseEncode is response serialization, staged before the status is
+	// committed: the y-vector JSON on spmv, the metadata JSON on upload.
+	phaseEncode
 
 	nPhases
 )
 
 var phaseNames = [nPhases]string{
-	"queue_wait", "governor_wait", "decode", "reorder", "plan_build", "spmv", "store_write",
+	"queue_wait", "governor_wait", "decode", "reorder", "plan_build", "spmv", "store_write", "encode",
 }
 
 // Metric family names of the serving path.

@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"runtime"
@@ -282,19 +283,23 @@ type apiError struct {
 // context canceled) before a response was produced.
 const statusClientClosed = 499
 
-// jsonBufs recycles the buffers responses are staged in: encoding must
-// finish before the status is committed, and a y of 16k entries encodes
-// to hundreds of kilobytes, too much to allocate per request.
+// jsonBufs recycles the buffers responses are staged in (and /spmv
+// request bodies read into): encoding must finish before the status is
+// committed, and an x or y of 16k entries is hundreds of kilobytes of
+// JSON, too much to allocate per request.
 var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // writeJSON encodes v before committing the status, so a value JSON
-// cannot represent (a NaN or ±Inf in a product) becomes a classified 500
-// instead of a 200 with an empty body.
-func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
+// cannot represent becomes a classified 500 instead of a 200 with an empty
+// body. The encode is rt's encode phase.
+func (s *Server) writeJSON(w http.ResponseWriter, rt *requestTrace, status int, v any) {
 	buf := jsonBufs.Get().(*bytes.Buffer)
 	defer jsonBufs.Put(buf)
 	buf.Reset()
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
+	t0 := rt.clock()
+	err := json.NewEncoder(buf).Encode(v)
+	rt.phase(phaseEncode, t0)
+	if err != nil {
 		s.writeError(w, http.StatusInternalServerError, admit.FailError, "encoding response: "+err.Error())
 		return
 	}
@@ -542,7 +547,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		s.store.touch(key)
-		s.writeJSON(w, http.StatusOK, uploadResponse{
+		s.writeJSON(w, rt, http.StatusOK, uploadResponse{
 			Key: key, Rows: m.Rows, Cols: m.Cols, NNZ: m.NNZ,
 			Ordering: m.Ordering, Cached: true, Deduplicated: true,
 			Persisted:      persisted,
@@ -617,7 +622,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		cached = true
 	}
 	persisted := s.persistEntry(rt, e)
-	s.writeJSON(w, http.StatusOK, uploadResponse{
+	s.writeJSON(w, rt, http.StatusOK, uploadResponse{
 		Key: key, Rows: e.rows, Cols: e.cols, NNZ: e.nnz,
 		Ordering: string(alg), Cached: cached, Persisted: persisted,
 		ReorderSeconds: e.reorderSeconds,
@@ -700,16 +705,7 @@ func (s *Server) handleMeta(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusNotFound, admit.FailError, "unknown matrix key")
 		return
 	}
-	s.writeJSON(w, http.StatusOK, m)
-}
-
-// spmvRequest is the POST /spmv/{key} body.
-type spmvRequest struct {
-	X []float64 `json:"x"`
-}
-
-type spmvResponse struct {
-	Y []float64 `json:"y"`
+	s.writeJSON(w, nil, http.StatusOK, m)
 }
 
 func (s *Server) handleSpMV(w http.ResponseWriter, r *http.Request) {
@@ -729,18 +725,27 @@ func (s *Server) handleSpMV(w http.ResponseWriter, r *http.Request) {
 	defer s.cache.Unpin(e)
 	s.store.touch(key) // keep the persisted LRU order fresh
 
-	var req spmvRequest
+	// One pooled buffer carries the request body in and the response out.
+	buf := jsonBufs.Get().(*bytes.Buffer)
+	defer jsonBufs.Put(buf)
+	buf.Reset()
 	t0 := rt.clock()
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
-	err := dec.Decode(&req)
+	_, readErr := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
+	x, err := decodeSpMVBody(buf.Bytes(), e.cols)
+	// A streaming json.Decoder stops at the end of the first value, so a
+	// read error past it (a body over MaxBody, a client gone mid-body)
+	// fails the request only when the bytes read hold no complete value.
+	if readErr != nil && (errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)) {
+		err = readErr
+	}
 	rt.phase(phaseDecode, t0)
 	if err != nil {
 		s.writeClassified(w, fmt.Errorf("bad spmv body: %w", err), http.StatusBadRequest)
 		return
 	}
-	if len(req.X) != e.cols {
+	if len(x) != e.cols {
 		s.writeError(w, http.StatusBadRequest, admit.FailError,
-			fmt.Sprintf("x has %d entries, matrix has %d columns", len(req.X), e.cols))
+			fmt.Sprintf("x has %d entries, matrix has %d columns", len(x), e.cols))
 		return
 	}
 	if err := r.Context().Err(); err != nil {
@@ -748,12 +753,21 @@ func (s *Server) handleSpMV(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	y, err := s.multiply(rt, e, req.X)
+	y, err := s.multiply(rt, e, x)
 	if err != nil {
 		s.writeClassified(w, err, http.StatusInternalServerError)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, spmvResponse{Y: y})
+	t0 = rt.clock()
+	buf.Reset()
+	buf.Grow(len(y)*maxJSONFloatLen + len(`{"y":[]}`+"\n"))
+	body, err := appendSpMVResponse(buf.AvailableBuffer(), y)
+	rt.phase(phaseEncode, t0)
+	if err != nil {
+		s.writeError(w, http.StatusInternalServerError, admit.FailError, "encoding response: "+err.Error())
+		return
+	}
+	writeBody(w, http.StatusOK, body)
 }
 
 // multiply computes y = A·x in the ORIGINAL index space against the cached
@@ -762,10 +776,12 @@ func (s *Server) handleSpMV(w http.ResponseWriter, r *http.Request) {
 //	symmetric ordering:  B = P·A·Pᵀ, so y[perm[i]] = (B · gather(x))[i]
 //	row-only (Gray):     B rows are A's rows in perm order, x unchanged
 //
-// Both directions use the new-to-old permutation; the gather/scatter is
-// exact (a permutation of float64 values, no arithmetic), so responses are
-// bit-identical to an SpMV on the unordered matrix and identical between
-// cached and freshly recomputed plans.
+// Both directions use the new-to-old permutation, and the gather/scatter
+// is exact (a permutation of float64 values, no arithmetic). B's rows are
+// re-sorted by column, though, which changes each row's summation order.
+// So a response is byte-identical between cached and freshly recomputed
+// plans of one ordering, and agrees with spmv.Serial on the original
+// matrix only to rounding: row i within about (row length)·ε·(|A|·|x|)_i.
 func (s *Server) multiply(rt *requestTrace, e *entry, x []float64) ([]float64, error) {
 	t0 := rt.clock()
 	plan, err := e.getPlan(s.cfg.Threads)
@@ -829,7 +845,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if st.Draining {
 		st.Status = "draining"
 	}
-	s.writeJSON(w, http.StatusOK, st)
+	s.writeJSON(w, nil, http.StatusOK, st)
 }
 
 // handleReadyz is load acceptance: 503 while draining, while warm-restart
@@ -854,8 +870,8 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		st.Status = "overloaded"
 	default:
 		st.Status = "ready"
-		s.writeJSON(w, http.StatusOK, st)
+		s.writeJSON(w, nil, http.StatusOK, st)
 		return
 	}
-	s.writeJSON(w, http.StatusServiceUnavailable, st)
+	s.writeJSON(w, nil, http.StatusServiceUnavailable, st)
 }

@@ -103,18 +103,28 @@ func decodeY(t *testing.T, raw []byte) []float64 {
 	return resp.Y
 }
 
-// wantClose compares a served y against a serial multiply on the original
-// matrix. A permutation reorders each row's dot-product terms, so only
-// tolerance-level agreement is expected here; byte-identity is asserted
-// between server responses (cached vs recomputed plans), where the term
-// order is the same.
-func wantClose(t *testing.T, y, ref []float64) {
+// wantClose checks a served y against the serving contract's oracle, a
+// serial multiply on the original matrix. A permutation re-sorts each
+// row's dot-product terms, so the two agree only to rounding: row i may
+// differ by at most (row length)·ε·(|A|·|x|)_i, twice the recursive
+// summation error bound. Byte-identity is asserted between server
+// responses (cached vs recomputed plans), where the term order is the
+// same.
+func wantClose(t *testing.T, a *sparse.CSR, x, y []float64) {
 	t.Helper()
+	ref := make([]float64, a.Rows)
+	if err := spmv.Serial(a, x, ref); err != nil {
+		t.Fatal(err)
+	}
 	if len(y) != len(ref) {
 		t.Fatalf("y has %d entries, want %d", len(y), len(ref))
 	}
 	for i := range ref {
-		tol := 1e-9 * (math.Abs(ref[i]) + 1)
+		abs := 0.0
+		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+			abs += math.Abs(a.Val[k] * x[a.ColIdx[k]])
+		}
+		tol := float64(a.RowNNZ(i)) * 0x1p-52 * abs
 		if math.Abs(y[i]-ref[i]) > tol {
 			t.Fatalf("y[%d] = %v, want %v (±%g)", i, y[i], ref[i], tol)
 		}
@@ -137,9 +147,10 @@ func wantClass(t *testing.T, res *http.Response, raw []byte, status int, class a
 }
 
 // TestUploadAndSpMV is the core serving contract: an uploaded matrix is
-// reordered with the predicted ordering, and SpMV against the cached plan
-// returns exactly the bits a serial multiply on the ORIGINAL matrix
-// produces — the permutation round trip must be invisible to clients.
+// reordered with the predicted ordering, SpMV against the cached plan
+// agrees with a serial multiply on the ORIGINAL matrix to rounding (the
+// wantClose bound), and cached and recomputed plans answer byte for byte
+// the same.
 func TestUploadAndSpMV(t *testing.T) {
 	mats := []*sparse.CSR{
 		gen.Banded(200, 4, 0.8, 1), // banded + balanced: RCM territory
@@ -171,12 +182,7 @@ func TestUploadAndSpMV(t *testing.T) {
 		if res2.StatusCode != http.StatusOK {
 			t.Fatalf("matrix %d: spmv status %d: %s", mi, res2.StatusCode, raw)
 		}
-		y := decodeY(t, raw)
-		ref := make([]float64, a.Rows)
-		if err := spmv.Serial(a, x, ref); err != nil {
-			t.Fatal(err)
-		}
-		wantClose(t, y, ref)
+		wantClose(t, a, x, decodeY(t, raw))
 
 		// Byte-identity, cached plan vs itself: repeating the request
 		// reproduces the response exactly.
@@ -252,12 +258,50 @@ func TestRectangularServed(t *testing.T) {
 	if res2.StatusCode != http.StatusOK {
 		t.Fatalf("spmv status %d: %s", res2.StatusCode, raw)
 	}
-	y := decodeY(t, raw)
-	ref := make([]float64, a.Rows)
-	if err := spmv.Serial(a, x, ref); err != nil {
+	wantClose(t, a, x, decodeY(t, raw))
+}
+
+// TestSpMVBodyCap: MaxBody caps /spmv bodies as encoding/json's streaming
+// decode did. A body whose x completes within the cap is served even when
+// more bytes follow; one whose x does not is a classified 400.
+func TestSpMVBodyCap(t *testing.T) {
+	srv := mustNew(t, Config{Threads: 1, MaxBody: 4096, Obs: newTestObs()})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	a := gen.Banded(20, 2, 1, 3)
+	res, up := postUpload(t, ts, mmBytes(t, a))
+	if res.StatusCode != http.StatusOK {
+		t.Fatalf("upload status %d", res.StatusCode)
+	}
+	x := testVector(a.Cols, 1)
+	body, err := json.Marshal(spmvRequest{X: x})
+	if err != nil {
 		t.Fatal(err)
 	}
-	wantClose(t, y, ref)
+	post := func(b []byte) (*http.Response, []byte) {
+		res, err := ts.Client().Post(ts.URL+"/spmv/"+up.Key, "application/json", bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer res.Body.Close()
+		raw, err := io.ReadAll(res.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, raw
+	}
+	padded := append(append([]byte{}, body...), bytes.Repeat([]byte(" "), 8192)...)
+	if res, raw := post(padded); res.StatusCode != http.StatusOK {
+		t.Fatalf("x within the cap, padding past it: status %d: %s", res.StatusCode, raw)
+	} else {
+		wantClose(t, a, x, decodeY(t, raw))
+	}
+	long := append([]byte(`{"x":[`), bytes.Repeat([]byte("1,"), 4096)...)
+	res2, raw2 := post(long)
+	wantClass(t, res2, raw2, http.StatusBadRequest, admit.FailError)
+	if !strings.Contains(string(raw2), "too large") {
+		t.Errorf("x past the cap: body %s does not name the cap", raw2)
+	}
 }
 
 // TestClassifiedFailures pins the HTTP mapping of the failure taxonomy:

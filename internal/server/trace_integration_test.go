@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -194,6 +195,56 @@ func TestTraceRingSeesEveryOutcome(t *testing.T) {
 		if tr.ID == "" || tr.Seconds <= 0 {
 			t.Errorf("trace %+v missing id or latency", tr)
 		}
+	}
+}
+
+// TestEncodePhaseAttributed: response serialization is its own phase on
+// both routes, so the wire codec's cost shows in /debug/requests and in
+// the phase histograms rather than in the unattributed remainder.
+func TestEncodePhaseAttributed(t *testing.T) {
+	o := newTestObs()
+	o.Requests = obs.NewTraceRing(16)
+	srv := mustNew(t, Config{Threads: 1, Obs: o})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	a := gen.Banded(200, 4, 0.8, 1)
+	res, up := postUpload(t, ts, mmBytes(t, a))
+	if res.StatusCode != http.StatusOK {
+		t.Fatalf("upload status %d", res.StatusCode)
+	}
+	if res, raw := postSpMV(t, ts, up.Key, testVector(a.Cols, 1)); res.StatusCode != http.StatusOK {
+		t.Fatalf("spmv status %d: %s", res.StatusCode, raw)
+	}
+	want := map[string][]string{
+		"upload": {"decode", "governor_wait", "reorder", "encode"},
+		"spmv":   {"queue_wait", "decode", "plan_build", "spmv", "encode"},
+	}
+	for _, tr := range o.Requests.Snapshot(obs.ViewRecent, 10) {
+		var names []string
+		for _, p := range tr.Phases {
+			names = append(names, p.Name)
+		}
+		got := strings.Join(names, " ")
+		for _, ph := range want[tr.Route] {
+			if !strings.Contains(" "+got+" ", " "+ph+" ") {
+				t.Errorf("%s trace phases [%s] lack %s", tr.Route, got, ph)
+			}
+		}
+		if names[len(names)-1] != "encode" {
+			t.Errorf("%s trace phases [%s] do not end with encode", tr.Route, got)
+		}
+	}
+	mres, err := ts.Client().Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := new(strings.Builder)
+	if _, err := io.Copy(text, mres.Body); err != nil {
+		t.Fatal(err)
+	}
+	mres.Body.Close()
+	if sum := histSum(t, text.String(), metricPhaseSeconds, `route="spmv"`, `phase="encode"`); sum <= 0 {
+		t.Errorf("spmv encode phase sum %g, want > 0", sum)
 	}
 }
 

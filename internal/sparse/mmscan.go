@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+
+	"sparseorder/internal/decimal"
 )
 
 // Allocation-light field scanning for the Matrix Market ingestion
@@ -91,10 +93,9 @@ func atoiField(tok []byte) (int, bool) {
 }
 
 // parseValueField parses a floating-point value field. Plain decimal
-// forms whose mantissa fits 53 bits and whose scale is within 10^±22 take
-// an exact fast path (Clinger's rule: one IEEE multiply or divide of two
-// exactly-represented operands is correctly rounded); everything else —
-// exponents, long mantissas, inf/NaN, hex floats — falls back to
+// forms of at most decimal.MaxDigits digits convert through
+// decimal.ToFloat; everything else (exponents, long mantissas, inf/NaN,
+// hex floats) and the rare conversions ToFloat bails on fall back to
 // strconv.ParseFloat, so the result is always bit-identical to the
 // historical parser's.
 func parseValueField(tok []byte) (float64, error) {
@@ -120,7 +121,7 @@ func parseValueField(tok []byte) (float64, error) {
 		if d > 9 {
 			return parseValueSlow(tok)
 		}
-		if digits == 19 {
+		if digits == decimal.MaxDigits {
 			return parseValueSlow(tok)
 		}
 		mant = mant*10 + uint64(d)
@@ -129,20 +130,13 @@ func parseValueField(tok []byte) (float64, error) {
 			frac++
 		}
 	}
-	if digits == 0 || mant >= 1<<53 || frac > 22 {
+	if digits == 0 {
 		return parseValueSlow(tok)
 	}
-	v := float64(mant) / pow10[frac]
-	if neg {
-		v = -v
+	if v, ok := decimal.ToFloat(mant, -frac, neg); ok {
+		return v, nil
 	}
-	return v, nil
-}
-
-// pow10 holds the exactly-representable powers of ten (10^0..10^22).
-var pow10 = [...]float64{
-	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
-	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+	return parseValueSlow(tok)
 }
 
 func parseValueSlow(tok []byte) (float64, error) {
