@@ -3,6 +3,7 @@ package hypergraph
 import (
 	"math/rand"
 
+	"sparseorder/internal/fmheap"
 	"sparseorder/internal/obs"
 	"sparseorder/internal/par"
 )
@@ -100,6 +101,9 @@ func initialBisection(h *Hypergraph, frac float64, opts Options, rng *rand.Rand)
 	best := make([]uint8, h.V)
 	bestCut := -1
 	trial := make([]uint8, h.V)
+	visited := make([]bool, h.V)
+	netDone := make([]bool, h.Nets)
+	var queue []int32
 	for t := 0; t < opts.InitTrials; t++ {
 		if t > 0 && par.Canceled(opts.Cancel) {
 			break // keep the best trial so far; the caller bails out next check
@@ -107,10 +111,10 @@ func initialBisection(h *Hypergraph, frac float64, opts Options, rng *rand.Rand)
 		for i := range trial {
 			trial[i] = 1
 		}
-		visited := make([]bool, h.V)
-		netDone := make([]bool, h.Nets)
+		clear(visited)
+		clear(netDone)
 		start := rng.Intn(h.V)
-		queue := []int32{int32(start)}
+		queue = append(queue[:0], int32(start))
 		visited[start] = true
 		w := 0
 		for head := 0; head < len(queue) && w < target; head++ {
@@ -136,12 +140,7 @@ func initialBisection(h *Hypergraph, frac float64, opts Options, rng *rand.Rand)
 				w += h.VertexWeight(v)
 			}
 		}
-		part := make([]int32, h.V)
-		for v, s := range trial {
-			part[v] = int32(s)
-		}
-		cut := CutNet(h, part)
-		if bestCut < 0 || cut < bestCut {
+		if cut := cutOf(h, trial); bestCut < 0 || cut < bestCut {
 			bestCut = cut
 			copy(best, trial)
 		}
@@ -149,64 +148,19 @@ func initialBisection(h *Hypergraph, frac float64, opts Options, rng *rand.Rand)
 	return best
 }
 
-type hEntry struct {
-	v    int32
-	gain int
-}
-
-type hHeap []hEntry
-
-func (h hHeap) Len() int           { return len(h) }
-func (h hHeap) Less(i, j int) bool { return h[i].gain > h[j].gain }
-func (h hHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-
-func hHeapInit(h *hHeap) {
-	n := h.Len()
-	for i := n/2 - 1; i >= 0; i-- {
-		hHeapDown(h, i, n)
+// cutOf counts the nets of h whose pins lie on both sides of a bisection.
+func cutOf(h *Hypergraph, side []uint8) int {
+	cut := 0
+	for n := 0; n < h.Nets; n++ {
+		pins := h.Pins(n)
+		for _, v := range pins {
+			if side[v] != side[pins[0]] {
+				cut++
+				break
+			}
+		}
 	}
-}
-
-func hHeapPush(h *hHeap, e hEntry) {
-	*h = append(*h, e)
-	j := h.Len() - 1
-	for {
-		i := (j - 1) / 2
-		if i == j || !h.Less(j, i) {
-			break
-		}
-		h.Swap(i, j)
-		j = i
-	}
-}
-
-func hHeapPop(h *hHeap) hEntry {
-	n := h.Len() - 1
-	h.Swap(0, n)
-	hHeapDown(h, 0, n)
-	old := *h
-	e := old[n]
-	*h = old[:n]
-	return e
-}
-
-func hHeapDown(h *hHeap, i0, n int) {
-	i := i0
-	for {
-		j1 := 2*i + 1
-		if j1 >= n {
-			break
-		}
-		j := j1
-		if j2 := j1 + 1; j2 < n && h.Less(j2, j1) {
-			j = j2
-		}
-		if !h.Less(j, i) {
-			break
-		}
-		h.Swap(i, j)
-		i = j
-	}
+	return cut
 }
 
 // fmRefine runs FM passes on the bisection under the cut-net objective.
@@ -224,119 +178,164 @@ func fmRefine(h *Hypergraph, side []uint8, frac float64, opts Options) {
 	if maxW[1] <= 0 {
 		maxW[1] = 1
 	}
+	var w [2]int
+	for v := 0; v < h.V; v++ {
+		w[side[v]] += h.VertexWeight(v)
+	}
+	st := newFMState(h)
 	for pass := 0; pass < opts.RefinePasses; pass++ {
 		if par.Canceled(opts.Cancel) {
 			return
 		}
-		if !fmPass(h, side, maxW) {
+		if !fmPassFast(h, side, &w, maxW, st) {
 			break
 		}
 	}
 }
 
-func fmPass(h *Hypergraph, side []uint8, maxW [2]int) bool {
-	// count[n][s] = pins of net n currently on side s.
-	count := make([][2]int32, h.Nets)
-	for n := 0; n < h.Nets; n++ {
-		for _, v := range h.Pins(n) {
-			count[n][side[v]]++
-		}
-	}
-	w := [2]int{}
-	for v := 0; v < h.V; v++ {
-		w[side[v]] += h.VertexWeight(v)
-	}
+// maxUpdateNetSize bounds the nets whose pins have their gains republished
+// after a move. Pins of larger nets (dense columns) keep their published
+// gain, whose cut state almost never flips from one move; their exact gain
+// is still tracked, so the next republication through a small net is exact.
+const maxUpdateNetSize = 128
 
-	gainOf := func(v int) int {
-		g := 0
-		s := side[v]
-		for _, n := range h.NetsOf(v) {
-			c := count[n]
-			size := c[0] + c[1]
-			if size < 2 {
-				continue
-			}
-			if c[1-s] == 0 {
-				g-- // currently internal; the move cuts it
-			} else if c[s] == 1 {
-				g++ // v is the last pin on s; the move uncuts it
+// fmState carries fmPassFast's buffers across the passes of one fmRefine.
+type fmState struct {
+	count  [][2]int32 // count[n][s] = pins of net n on side s
+	tg     []int32    // exact gain of every unlocked vertex under count
+	gain   []int32    // published gain; a heap entry is live only while it matches
+	locked []bool
+	heap   []fmheap.Entry[int32]
+	moves  []int32
+}
+
+func newFMState(h *Hypergraph) *fmState {
+	return &fmState{
+		count:  make([][2]int32, h.Nets),
+		tg:     make([]int32, h.V),
+		gain:   make([]int32, h.V),
+		locked: make([]bool, h.V),
+	}
+}
+
+// netGain is what a net with side counts c contributes to the gain of
+// moving one of its pins off side s: -1 if the net is internal to s (the
+// move cuts it), +1 if the pin is the last one on s (the move uncuts it),
+// 0 otherwise. Nets with fewer than two pins can never be cut.
+func netGain(c [2]int32, s uint8) int32 {
+	switch {
+	case c[0]+c[1] < 2:
+		return 0
+	case c[1-s] == 0:
+		return -1
+	case c[s] == 1:
+		return 1
+	}
+	return 0
+}
+
+// fmPassFast is one boundary FM pass under the cut-net objective with
+// incremental gains. A net's contribution to a pin's gain depends only on
+// the pin's side and the net's two side counts, so when v moves, each of
+// its nets changes the exact gain tg of every unlocked pin on one side by
+// one delta. The deltas are applied net by net, in NetsOf(v) order and
+// before side[v] flips, and every unlocked pin of a net of at most
+// maxUpdateNetSize pins is republished and pushed after its net's update:
+// the move sequence is the one the recompute-from-scratch pass produces
+// (see oracle_test.go), and with it every bisection. Pins of a net must be
+// distinct, as Validate requires. It reports whether the pass improved the
+// cut.
+func fmPassFast(h *Hypergraph, side []uint8, w *[2]int, maxW [2]int, st *fmState) bool {
+	count, tg, gain, locked := st.count, st.tg, st.gain, st.locked
+	clear(tg)
+	clear(locked)
+	for n := 0; n < h.Nets; n++ {
+		var c [2]int32
+		pins := h.Pins(n)
+		for _, v := range pins {
+			c[side[v]]++
+		}
+		count[n] = c
+		g := [2]int32{netGain(c, 0), netGain(c, 1)}
+		if g != [2]int32{} {
+			for _, v := range pins {
+				tg[v] += g[side[v]]
 			}
 		}
-		return g
 	}
 
 	// Only boundary vertices (pins of cut nets) can have positive gain, so
-	// the pass restricts attention to them, as PaToH's boundary FM does.
-	isBoundary := make([]bool, h.V)
-	for n := 0; n < h.Nets; n++ {
-		if count[n][0] > 0 && count[n][1] > 0 {
-			for _, v := range h.Pins(n) {
-				isBoundary[v] = true
+	// the pass queues only them, as PaToH's boundary FM does.
+	pq := st.heap[:0]
+	for v := 0; v < h.V; v++ {
+		for _, n := range h.NetsOf(v) {
+			if c := count[n]; c[0] > 0 && c[1] > 0 {
+				gain[v] = tg[v]
+				pq = append(pq, fmheap.Entry[int32]{V: int32(v), Gain: tg[v]})
+				break
 			}
 		}
 	}
-	gain := make([]int, h.V)
-	locked := make([]bool, h.V)
-	pq := &hHeap{}
-	for v := 0; v < h.V; v++ {
-		if !isBoundary[v] {
-			continue
-		}
-		gain[v] = gainOf(v)
-		*pq = append(*pq, hEntry{int32(v), gain[v]})
-	}
-	hHeapInit(pq)
+	fmheap.Heapify(pq)
 
-	type move struct{ v int32 }
-	var moves []move
+	moves := st.moves[:0]
 	cumGain, bestGain, bestIdx := 0, 0, -1
-
-	for pq.Len() > 0 {
-		e := hHeapPop(pq)
-		v := int(e.v)
-		if locked[v] || e.gain != gain[v] {
-			continue
+	for len(pq) > 0 {
+		var e fmheap.Entry[int32]
+		e, pq = fmheap.Pop(pq)
+		v := int(e.V)
+		if locked[v] || e.Gain != gain[v] {
+			continue // stale entry
 		}
-		to := 1 - side[v]
-		if w[to]+h.VertexWeight(v) > maxW[to] {
-			continue
+		from := side[v]
+		to := 1 - from
+		wv := h.VertexWeight(v)
+		if w[to]+wv > maxW[to] {
+			continue // move would violate balance
 		}
 		locked[v] = true
-		w[side[v]] -= h.VertexWeight(v)
-		// Update net counts, then refresh gains of the affected pins. Very
-		// large nets are skipped in the gain refresh (their cut state almost
-		// never flips from one move); stale heap entries are discarded on pop.
-		const maxUpdateNetSize = 128
+		w[from] -= wv
 		for _, n := range h.NetsOf(v) {
-			count[n][side[v]]--
-			count[n][to]++
+			old := count[n]
+			c := old
+			c[from]--
+			c[to]++
+			count[n] = c
+			d := [2]int32{netGain(c, 0) - netGain(old, 0), netGain(c, 1) - netGain(old, 1)}
 			pins := h.Pins(int(n))
-			if len(pins) > maxUpdateNetSize {
+			publish := len(pins) <= maxUpdateNetSize
+			if !publish && d == [2]int32{} {
 				continue
 			}
 			for _, u := range pins {
-				if !locked[u] {
-					gain[u] = gainOf(int(u))
-					hHeapPush(pq, hEntry{u, gain[u]})
+				if locked[u] {
+					continue
+				}
+				tg[u] += d[side[u]]
+				if publish {
+					gain[u] = tg[u]
+					pq = fmheap.Push(pq, fmheap.Entry[int32]{V: u, Gain: tg[u]})
 				}
 			}
 		}
 		side[v] = to
-		w[to] += h.VertexWeight(v)
-		cumGain += e.gain
-		moves = append(moves, move{int32(v)})
+		w[to] += wv
+		cumGain += int(e.Gain)
+		moves = append(moves, int32(v))
 		if cumGain > bestGain {
 			bestGain = cumGain
 			bestIdx = len(moves) - 1
 		}
 	}
 
+	// Roll back moves past the best prefix.
 	for i := len(moves) - 1; i > bestIdx; i-- {
-		v := moves[i].v
-		s := side[v]
-		w[s] -= h.VertexWeight(int(v))
-		side[v] = 1 - s
-		w[side[v]] += h.VertexWeight(int(v))
+		v := moves[i]
+		wv := h.VertexWeight(int(v))
+		w[side[v]] -= wv
+		side[v] = 1 - side[v]
+		w[side[v]] += wv
 	}
+	st.heap, st.moves = pq, moves
 	return bestGain > 0
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"sparseorder/internal/par"
 )
@@ -37,7 +38,8 @@ func kway(h *Hypergraph, k int, opts Options, split bool) ([]int32, error) {
 	for i := range verts {
 		verts[i] = int32(i)
 	}
-	recursive(h, verts, 0, k, part, opts, opts.Seed, par.NewLimiter(opts.Workers), split)
+	scratch := &sync.Pool{New: func() any { return newInducedScratch(h) }}
+	recursive(h, verts, 0, k, part, opts, opts.Seed, par.NewLimiter(opts.Workers), split, scratch)
 	if par.Canceled(opts.Cancel) {
 		return nil, context.Canceled
 	}
@@ -53,7 +55,9 @@ const forkMinVerts = 4096
 // internal/partition), so the serial and parallel executions produce
 // identical partitions; the two branches write disjoint entries of part,
 // and lim bounds the live goroutines to the configured worker count.
-func recursive(root *Hypergraph, verts []int32, firstPart, k int, part []int32, opts Options, seed int64, lim *par.Limiter, split bool) {
+// scratch holds *inducedScratch buffers sized for root, one per branch
+// running at a time.
+func recursive(root *Hypergraph, verts []int32, firstPart, k int, part []int32, opts Options, seed int64, lim *par.Limiter, split bool, scratch *sync.Pool) {
 	if par.Canceled(opts.Cancel) {
 		return
 	}
@@ -63,16 +67,18 @@ func recursive(root *Hypergraph, verts []int32, firstPart, k int, part []int32, 
 		}
 		return
 	}
-	sub, orig := induced(root, verts, split)
+	sc := scratch.Get().(*inducedScratch)
+	sub := induced(root, verts, split, sc)
+	scratch.Put(sc)
 	kLeft := (k + 1) / 2
 	frac := float64(kLeft) / float64(k)
 	side := Bisect(sub, frac, opts, rand.New(rand.NewSource(seed)))
 	var left, right []int32
 	for i, s := range side {
 		if s == 0 {
-			left = append(left, orig[i])
+			left = append(left, verts[i])
 		} else {
-			right = append(right, orig[i])
+			right = append(right, verts[i])
 		}
 	}
 	for _, v := range left {
@@ -85,12 +91,31 @@ func recursive(root *Hypergraph, verts []int32, firstPart, k int, part []int32, 
 	rightSeed := seed*2654435761 + 2
 	if lim != nil && len(verts) > forkMinVerts {
 		lim.Fork(
-			func() { recursive(root, left, firstPart, kLeft, part, opts, leftSeed, lim, split) },
-			func() { recursive(root, right, firstPart+kLeft, k-kLeft, part, opts, rightSeed, lim, split) })
+			func() { recursive(root, left, firstPart, kLeft, part, opts, leftSeed, lim, split, scratch) },
+			func() { recursive(root, right, firstPart+kLeft, k-kLeft, part, opts, rightSeed, lim, split, scratch) })
 		return
 	}
-	recursive(root, left, firstPart, kLeft, part, opts, leftSeed, lim, split)
-	recursive(root, right, firstPart+kLeft, k-kLeft, part, opts, rightSeed, lim, split)
+	recursive(root, left, firstPart, kLeft, part, opts, leftSeed, lim, split, scratch)
+	recursive(root, right, firstPart+kLeft, k-kLeft, part, opts, rightSeed, lim, split, scratch)
+}
+
+// inducedScratch is induced's per-branch workspace over the root
+// hypergraph: local maps a root vertex to its index in the branch (-1
+// outside it) and is restored after each use; netMark[n] == stamp marks
+// net n as already visited by the current call. One kway call makes fewer
+// than 2·V induced calls, so the stamp cannot wrap.
+type inducedScratch struct {
+	local   []int32
+	netMark []uint32
+	stamp   uint32
+}
+
+func newInducedScratch(root *Hypergraph) *inducedScratch {
+	sc := &inducedScratch{local: make([]int32, root.V), netMark: make([]uint32, root.Nets)}
+	for i := range sc.local {
+		sc.local[i] = -1
+	}
+	return sc
 }
 
 // induced builds the sub-hypergraph on verts. A net with a pin outside
@@ -98,30 +123,28 @@ func recursive(root *Hypergraph, verts []int32, firstPart, k int, part []int32, 
 // already paid for and dropped; under connectivity-1 (split true) it is
 // restricted to its pins inside verts, because every further part it
 // touches costs one more unit. Nets left with fewer than two pins are
-// dropped under both rules.
-func induced(root *Hypergraph, verts []int32, split bool) (*Hypergraph, []int32) {
-	local := make([]int32, root.V)
-	for i := range local {
-		local[i] = -1
-	}
+// dropped under both rules. Nets keep the order in which verts first
+// reach them.
+func induced(root *Hypergraph, verts []int32, split bool, sc *inducedScratch) *Hypergraph {
+	local := sc.local
 	for i, v := range verts {
 		local[v] = int32(i)
 	}
+	sc.stamp++
 	sub := &Hypergraph{V: len(verts)}
 	sub.VWgt = make([]int32, len(verts))
 	for i, v := range verts {
 		sub.VWgt[i] = int32(root.VertexWeight(int(v)))
 	}
-	netSeen := make(map[int32]bool)
 	var nptr []int
 	var npins []int32
 	nptr = append(nptr, 0)
 	for _, v := range verts {
 		for _, n := range root.NetsOf(int(v)) {
-			if netSeen[n] {
+			if sc.netMark[n] == sc.stamp {
 				continue
 			}
-			netSeen[n] = true
+			sc.netMark[n] = sc.stamp
 			start := len(npins)
 			drop := false
 			for _, u := range root.Pins(int(n)) {
@@ -139,11 +162,12 @@ func induced(root *Hypergraph, verts []int32, split bool) (*Hypergraph, []int32)
 			nptr = append(nptr, len(npins))
 		}
 	}
+	for _, v := range verts {
+		local[v] = -1
+	}
 	sub.Nets = len(nptr) - 1
 	sub.NPtr = nptr
 	sub.NPins = npins
 	sub.BuildVertexIncidence()
-	orig := make([]int32, len(verts))
-	copy(orig, verts)
-	return sub, orig
+	return sub
 }

@@ -3,6 +3,7 @@ package partition
 import (
 	"math/rand"
 
+	"sparseorder/internal/fmheap"
 	"sparseorder/internal/graph"
 	"sparseorder/internal/par"
 )
@@ -134,15 +135,6 @@ func cutOf(g *graph.Graph, side []uint8) int {
 	return cut / 2
 }
 
-// fmEntry is a heap element for Fiduccia-Mattheyses refinement and the
-// separator's greedy cover; stale entries (whose recorded gain no longer
-// matches the current gain) are discarded lazily on pop. Gains are full
-// ints, so no graph's total edge weight can overflow them.
-type fmEntry struct {
-	v    int32
-	gain int
-}
-
 // fmRefine performs boundary Fiduccia-Mattheyses passes on the bisection:
 // each pass tentatively moves every vertex at most once in best-gain-first
 // order subject to the balance constraint, then rolls back to the best
@@ -178,8 +170,8 @@ func fmRefine(g *graph.Graph, side []uint8, frac float64, opts Options) {
 // fmState carries fmPassFast's buffers across passes so their backing
 // arrays stay out of the allocator.
 type fmState struct {
-	heap  []fmEntry
-	moves []fmEntry
+	heap  []fmheap.Entry[int]
+	moves []fmheap.Entry[int]
 }
 
 // fmPassFast is one FM pass with the bookkeeping of the classic
@@ -215,20 +207,20 @@ func fmPassFast(g *graph.Graph, side []uint8, gain []int, locked []bool, w *[2]i
 		gain[v] = ext - inn
 		// Only boundary (or positive-gain) vertices are worth queueing.
 		if gain[v] > 0 || boundary {
-			h = append(h, fmEntry{int32(v), gain[v]})
+			h = append(h, fmheap.Entry[int]{V: int32(v), Gain: gain[v]})
 		}
 	}
-	heapify(h)
+	fmheap.Heapify(h)
 
 	moves := st.moves[:0]
 	cumGain, bestGain, bestIdx := 0, 0, -1
 	maxW := [2]int{max0, max1}
 
 	for len(h) > 0 {
-		var e fmEntry
-		e, h = heapPop(h)
-		v := int(e.v)
-		if locked[v] || e.gain != gain[v] {
+		var e fmheap.Entry[int]
+		e, h = fmheap.Pop(h)
+		v := int(e.V)
+		if locked[v] || e.Gain != gain[v] {
 			continue // stale entry
 		}
 		from := side[v]
@@ -241,7 +233,7 @@ func fmPassFast(g *graph.Graph, side []uint8, gain []int, locked []bool, w *[2]i
 		w[from] -= g.VertexWeight(v)
 		side[v] = to
 		w[to] += g.VertexWeight(v)
-		cumGain += e.gain
+		cumGain += e.Gain
 		moves = append(moves, e)
 		if cumGain > bestGain {
 			bestGain = cumGain
@@ -258,77 +250,17 @@ func fmPassFast(g *graph.Graph, side []uint8, gain []int, locked []bool, w *[2]i
 			} else {
 				gain[u] -= 2 * edgeWeight(k)
 			}
-			h = heapPush(h, fmEntry{u, gain[u]})
+			h = fmheap.Push(h, fmheap.Entry[int]{V: u, Gain: gain[u]})
 		}
 	}
 
 	// Roll back moves past the best prefix.
 	for i := len(moves) - 1; i > bestIdx; i-- {
-		v := moves[i].v
+		v := moves[i].V
 		w[side[v]] -= g.VertexWeight(int(v))
 		side[v] = 1 - side[v]
 		w[side[v]] += g.VertexWeight(int(v))
 	}
 	st.heap, st.moves = h, moves
 	return bestGain > 0
-}
-
-// The max-heap on gain below sifts a hole instead of swapping: one write
-// per level instead of three. A child replaces its parent only when its
-// gain is strictly greater, so equal gains keep their array order.
-
-// heapify establishes the heap property over h in O(len(h)).
-func heapify(h []fmEntry) {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		heapDown(h, i, h[i])
-	}
-}
-
-// heapPop removes and returns the maximum-gain entry.
-func heapPop(h []fmEntry) (fmEntry, []fmEntry) {
-	e := h[0]
-	last := h[len(h)-1]
-	h = h[:len(h)-1]
-	if len(h) > 0 {
-		heapDown(h, 0, last)
-	}
-	return e, h
-}
-
-// heapDown sifts x down from slot i, moving strictly greater children up
-// into the hole.
-func heapDown(h []fmEntry, i int, x fmEntry) {
-	n := len(h)
-	for {
-		j1 := 2*i + 1
-		if j1 >= n {
-			break
-		}
-		j := j1
-		if j2 := j1 + 1; j2 < n && h[j2].gain > h[j1].gain {
-			j = j2
-		}
-		if h[j].gain <= x.gain {
-			break
-		}
-		h[i] = h[j]
-		i = j
-	}
-	h[i] = x
-}
-
-// heapPush appends e and sifts it up past strictly smaller parents.
-func heapPush(h []fmEntry, e fmEntry) []fmEntry {
-	h = append(h, e)
-	j := len(h) - 1
-	for j > 0 {
-		i := (j - 1) / 2
-		if e.gain <= h[i].gain {
-			break
-		}
-		h[j] = h[i]
-		j = i
-	}
-	h[j] = e
-	return h
 }

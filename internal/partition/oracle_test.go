@@ -10,9 +10,9 @@ import (
 )
 
 // The reference Fiduccia-Mattheyses pass and its swap-based heap, kept
-// only as the differential oracle for fmPassFast and the production heap:
-// fmPass recomputes every touched neighbour's gain from its adjacency and
-// uses container/heap-style swaps, the textbook form of the algorithm.
+// only as the differential oracle for fmPassFast: fmPass recomputes every
+// touched neighbour's gain from its adjacency and uses container/heap-style
+// swaps, the textbook form of the algorithm.
 
 // refEntry is a reference heap element; stale entries are discarded
 // lazily on pop.
@@ -259,40 +259,6 @@ func TestFMPassFastMatchesReference(t *testing.T) {
 						break
 					}
 				}
-			}
-		}
-	}
-}
-
-// TestHeapMatchesReference checks that the hole-sifting heap pops in
-// exactly the reference heap's order — ties included — under random
-// interleavings of pushes and pops, as both FM and the separator's greedy
-// cover use it.
-func TestHeapMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 200; trial++ {
-		var ref refHeap
-		var h []fmEntry
-		n := rng.Intn(40)
-		for i := 0; i < n; i++ {
-			e := fmEntry{int32(i), rng.Intn(7) - 3}
-			ref = append(ref, refEntry(e))
-			h = append(h, e)
-		}
-		refHeapInit(&ref)
-		heapify(h)
-		for op := 0; op < 200; op++ {
-			if rng.Intn(3) == 0 || len(h) == 0 {
-				e := fmEntry{int32(rng.Intn(1000)), rng.Intn(7) - 3}
-				refHeapPush(&ref, refEntry(e))
-				h = heapPush(h, e)
-				continue
-			}
-			want := refHeapPop(&ref)
-			var got fmEntry
-			got, h = heapPop(h)
-			if refEntry(got) != want {
-				t.Fatalf("trial %d op %d: popped %+v, want %+v", trial, op, got, want)
 			}
 		}
 	}

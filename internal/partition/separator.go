@@ -3,6 +3,7 @@ package partition
 import (
 	"math/rand"
 
+	"sparseorder/internal/fmheap"
 	"sparseorder/internal/graph"
 )
 
@@ -32,18 +33,18 @@ func VertexSeparator(g *graph.Graph, opts Options, rng *rand.Rand) []uint8 {
 			}
 		}
 	}
-	var h []fmEntry
+	var h []fmheap.Entry[int]
 	for v := 0; v < g.N; v++ {
 		if cutDeg[v] > 0 {
-			h = append(h, fmEntry{int32(v), cutDeg[v]})
+			h = append(h, fmheap.Entry[int]{V: int32(v), Gain: cutDeg[v]})
 		}
 	}
-	heapify(h)
+	fmheap.Heapify(h)
 	for len(h) > 0 {
-		var e fmEntry
-		e, h = heapPop(h)
-		v := int(e.v)
-		if label[v] == 2 || e.gain != cutDeg[v] || cutDeg[v] == 0 {
+		var e fmheap.Entry[int]
+		e, h = fmheap.Pop(h)
+		v := int(e.V)
+		if label[v] == 2 || e.Gain != cutDeg[v] || cutDeg[v] == 0 {
 			continue
 		}
 		label[v] = 2
@@ -52,7 +53,7 @@ func VertexSeparator(g *graph.Graph, opts Options, rng *rand.Rand) []uint8 {
 			if label[u] != 2 && side[u] != side[v] {
 				cutDeg[u]--
 				if cutDeg[u] > 0 {
-					h = heapPush(h, fmEntry{u, cutDeg[u]})
+					h = fmheap.Push(h, fmheap.Entry[int]{V: u, Gain: cutDeg[u]})
 				}
 			}
 		}
